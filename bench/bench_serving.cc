@@ -37,17 +37,6 @@
 // reported ungated. Emits BENCH_explain.json; run_benches.sh enforces
 // the gate.
 //
-// Then the sharded scatter-gather scenario: the same corpus behind a
-// ShardedEngine at 1, 2, 4 and 8 shards, a fixed burst through the
-// lane-routed SuggestBatch with a per-shard queue-depth admission gate.
-// What sharding buys on this box is *admission capacity* — N independent
-// lanes each shed at their own gate where one gate sheds everything past a
-// single queue — so the gate is admitted-requests at 4 shards >= 1.6x the
-// single-shard count, plus an inline re-check of the differential
-// harness's invariance claim (every shard count fingerprints identically
-// on sequential probes). Emits BENCH_sharding.json; run_benches.sh
-// enforces both verdicts.
-//
 // Closes with the adaptive-cache scenario: a purpose-built corpus of many
 // small disconnected clusters served under a Zipf head with one-shot scan
 // pollution and swap churn from localized ingest deltas. Two gated
@@ -60,10 +49,8 @@
 // requests), PQSDA_SERVE_THREADS (batch pool size, default 4),
 // PQSDA_CACHE (cache capacity for the cached runs, default 512),
 // PQSDA_OVERLOAD_DEADLINE_MS (per-request budget in the overload burst,
-// default 400), PQSDA_SHARD_BURST / PQSDA_SHARD_DEPTH (sharded burst size
-// and per-shard admission depth, defaults 96 / 8), PQSDA_CACHE_OPS /
-// PQSDA_CACHE_POLICY_CAP (cache-scenario workload length and scan-run
-// capacity, defaults 1200 / 24).
+// default 400), PQSDA_CACHE_OPS / PQSDA_CACHE_POLICY_CAP (cache-scenario
+// workload length and scan-run capacity, defaults 1200 / 24).
 
 #include <algorithm>
 #include <atomic>
@@ -86,7 +73,6 @@
 #include "common/cancellation.h"
 #include "common/thread_pool.h"
 #include "core/pqsda_engine.h"
-#include "core/sharded_engine.h"
 #include "eval/harness.h"
 #include "obs/explain.h"
 #include "obs/http_exporter.h"
@@ -878,139 +864,6 @@ void Main() {
       std::printf("  wrote BENCH_explain.json\n");
     } else {
       std::printf("  could not write BENCH_explain.json\n");
-    }
-  }
-
-  // --- sharded scatter-gather: admission capacity vs shard count ------
-  // One core serves one request at a time, so sharding cannot multiply
-  // the wall-clock service rate here. What it multiplies is admission
-  // capacity under a burst: each shard lane admits up to its own
-  // queue-depth gate, so N gates admit ~N times the requests one gate
-  // does before shedding. Invariance is re-checked inline: every shard
-  // count must serve the same sequential probes bitwise-identically.
-  {
-    const size_t shard_burst_size = EnvSize("SHARD_BURST", 96);
-    const size_t shard_depth = EnvSize("SHARD_DEPTH", 8);
-    std::vector<SuggestionRequest> shard_burst =
-        ZipfWorkload(requests, shard_burst_size, 47);
-    PqsdaEngineConfig shard_config = config;
-    shard_config.cache_capacity = 0;  // admitted requests do real work
-
-    std::printf("\nsharded serving: burst of %zu, per-shard queue depth "
-                "%zu, shard counts {1,2,4,8}\n",
-                shard_burst.size(), shard_depth);
-
-    struct ShardScalePoint {
-      size_t shards = 0;
-      size_t admitted = 0;
-      size_t ok = 0;
-      double seconds = 0.0;
-      uint64_t probe_fp = 0;
-    };
-    std::vector<ShardScalePoint> shard_points;
-    for (size_t shard_count : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      ShardedEngineOptions shard_options;
-      shard_options.shards = shard_count;
-      shard_options.shard_queue_depth = shard_depth;
-      auto sharded_or =
-          ShardedEngine::Build(data.records, shard_config, shard_options);
-      if (!sharded_or.ok()) {
-        std::printf("  sharded build (%zu shards) failed: %s\n", shard_count,
-                    sharded_or.status().ToString().c_str());
-        continue;
-      }
-      const ShardedEngine& sharded = **sharded_or;
-
-      ShardScalePoint point;
-      point.shards = shard_count;
-      // Sequential invariance probes first, while the lanes are idle so
-      // nothing sheds: the served lists must fingerprint identically at
-      // every shard count (the bench-side echo of sharding_test).
-      obs::Fingerprint64 fp;
-      const size_t probe_count = std::min<size_t>(requests.size(), 8);
-      for (size_t i = 0; i < probe_count; ++i) {
-        auto served = sharded.Suggest(requests[i], k);
-        if (served.ok()) {
-          for (const Suggestion& s : *served) {
-            fp.Mix(s.query);
-            fp.MixDouble(s.score);
-          }
-        }
-      }
-      point.probe_fp = fp.value();
-
-      auto begin = std::chrono::steady_clock::now();
-      auto results = sharded.SuggestBatch(shard_burst, k);
-      point.seconds = Seconds(begin, std::chrono::steady_clock::now());
-      for (const auto& r : results) {
-        if (r.ok()) {
-          ++point.admitted;
-          ++point.ok;
-        } else if (r.status().code() != StatusCode::kUnavailable) {
-          ++point.admitted;  // served (e.g. not-found), just not a hit
-        }
-      }
-      std::printf("  shards=%zu: admitted %3zu/%zu (%.0f%%), probe fp "
-                  "%016llx, burst drained in %.3fs\n",
-                  point.shards, point.admitted, shard_burst.size(),
-                  100.0 * static_cast<double>(point.admitted) /
-                      static_cast<double>(shard_burst.size()),
-                  static_cast<unsigned long long>(point.probe_fp),
-                  point.seconds);
-      shard_points.push_back(point);
-    }
-
-    bool invariance_pass = !shard_points.empty();
-    for (const ShardScalePoint& p : shard_points) {
-      if (p.probe_fp != shard_points.front().probe_fp) invariance_pass = false;
-    }
-    double admitted_ratio_4v1 = 0.0;
-    size_t admitted_1 = 0, admitted_4 = 0;
-    for (const ShardScalePoint& p : shard_points) {
-      if (p.shards == 1) admitted_1 = p.admitted;
-      if (p.shards == 4) admitted_4 = p.admitted;
-    }
-    if (admitted_1 > 0) {
-      admitted_ratio_4v1 =
-          static_cast<double>(admitted_4) / static_cast<double>(admitted_1);
-    }
-    const bool shard_gate = admitted_ratio_4v1 >= 1.6;
-    std::printf("  admitted capacity 4 shards vs 1: %.2fx (gate >= 1.60x: "
-                "%s), invariance: %s\n",
-                admitted_ratio_4v1, shard_gate ? "PASS" : "FAIL",
-                invariance_pass ? "PASS" : "FAIL");
-
-    std::string shard_json = "{\n  \"bench\": \"serving_sharding\",\n";
-    {
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "  \"burst\": %zu,\n  \"shard_queue_depth\": %zu,\n"
-                    "  \"points\": [\n",
-                    shard_burst.size(), shard_depth);
-      shard_json += buf;
-      for (size_t i = 0; i < shard_points.size(); ++i) {
-        const ShardScalePoint& p = shard_points[i];
-        std::snprintf(buf, sizeof(buf),
-                      "    {\"shards\": %zu, \"admitted\": %zu, \"ok\": %zu, "
-                      "\"seconds\": %.4f, \"probe_fp\": \"%016llx\"}%s\n",
-                      p.shards, p.admitted, p.ok, p.seconds,
-                      static_cast<unsigned long long>(p.probe_fp),
-                      i + 1 < shard_points.size() ? "," : "");
-        shard_json += buf;
-      }
-      std::snprintf(buf, sizeof(buf),
-                    "  ],\n  \"admitted_ratio_4v1\": %.3f,\n"
-                    "  \"invariance_pass\": %s,\n  \"gate_pass\": %s\n}\n",
-                    admitted_ratio_4v1, invariance_pass ? "true" : "false",
-                    shard_gate ? "true" : "false");
-      shard_json += buf;
-    }
-    if (std::FILE* f = std::fopen("BENCH_sharding.json", "w")) {
-      std::fwrite(shard_json.data(), 1, shard_json.size(), f);
-      std::fclose(f);
-      std::printf("  wrote BENCH_sharding.json\n");
-    } else {
-      std::printf("  could not write BENCH_sharding.json\n");
     }
   }
 

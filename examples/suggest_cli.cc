@@ -8,7 +8,7 @@
 //                                [--shed_queue_depth=N] [--min_rung=R]
 //                                [--ingest=N] [--tail=path] [--slo=SPECS]
 //                                [--log_rotate_kb=N] [--explain_every=N]
-//                                [--shards=N] [--cache_policy=NAME]
+//                                [--cache_policy=NAME]
 //                                [--negative_cache=N] [--whole_gen_cache]
 //                                [--warmup_log=path] [--warmup_max=N]
 //                                [log.tsv]
@@ -81,16 +81,6 @@
 // the configured threshold. 'tail <user>' shows a user's open (not yet
 // absorbed) session in the ingest stream.
 //
-// Sharded serving: --shards=N (N>1) builds the scatter-gather ShardedEngine
-// instead of the monolithic one — queries route to a primary shard's lane,
-// expansion gathers rows across shards, and served lists stay bitwise
-// identical to unsharded mode. --shed_queue_depth then configures the
-// *per-shard* admission gates, 'batch' admits at each request's own
-// primary lane, 'index' shows the consistent-cut build id plus per-shard
-// generations, and 'statusz' grows the per-shard section. With --stats the
-// per-shard serving rungs and partial-merge flag are printed per request.
-// 'explain', 'replay' and --tail still need the unsharded engine.
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -107,7 +97,6 @@
 #include "common/cancellation.h"
 #include "core/pqsda_engine.h"
 #include "suggest/cache_policy.h"
-#include "core/sharded_engine.h"
 #include "log/log_io.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
@@ -119,6 +108,14 @@
 using namespace pqsda;
 
 namespace {
+
+constexpr char kUsage[] =
+    "usage: suggest_cli [--stats] [--cache=N] [--http_port=N] "
+    "[--request_log=path] [--slow_ms=T] [--sample_every=N] [--deadline_ms=T] "
+    "[--shed_queue_depth=N] [--min_rung=R] [--ingest=N] [--tail=path] "
+    "[--slo=SPECS] [--log_rotate_kb=N] [--explain_every=N] "
+    "[--cache_policy=NAME] [--negative_cache=N] [--whole_gen_cache] "
+    "[--warmup_log=path] [--warmup_max=N] [log.tsv]\n";
 
 // Parses one interactive request line: "@<user> <query>" or plain "<query>".
 SuggestionRequest ParseRequest(std::string line) {
@@ -160,7 +157,6 @@ int main(int argc, char** argv) {
   const char* slo_specs = nullptr;
   unsigned long log_rotate_kb = 0;
   unsigned long explain_every = 0;
-  size_t shards = 0;
   CachePolicyKind cache_policy = CachePolicyKind::kLru;
   size_t negative_cache = 0;
   bool whole_gen_cache = false;
@@ -196,8 +192,6 @@ int main(int argc, char** argv) {
       log_rotate_kb = std::strtoul(argv[i] + 16, nullptr, 10);
     } else if (std::strncmp(argv[i], "--explain_every=", 16) == 0) {
       explain_every = std::strtoul(argv[i] + 16, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::strtoul(argv[i] + 9, nullptr, 10);
     } else if (std::strncmp(argv[i], "--cache_policy=", 15) == 0) {
       if (!ParseCachePolicy(argv[i] + 15, &cache_policy)) {
         std::fprintf(stderr,
@@ -213,6 +207,9 @@ int main(int argc, char** argv) {
       warmup_log = argv[i] + 13;
     } else if (std::strncmp(argv[i], "--warmup_max=", 13) == 0) {
       warmup_max = std::strtoul(argv[i] + 13, nullptr, 10);
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown flag '%s'\n%s", argv[i], kUsage);
+      return 1;
     } else {
       log_path = argv[i];
     }
@@ -350,40 +347,14 @@ int main(int argc, char** argv) {
   if (min_rung > 0) {
     std::printf("degradation ladder floored at rung %zu\n", min_rung);
   }
-  // --shards=N builds the scatter-gather coordinator instead; exactly one
-  // of the two engines exists below. Commands that need the monolithic
-  // engine's internals (explain/replay/--tail) refuse in sharded mode.
-  std::unique_ptr<PqsdaEngine> engine;
-  std::unique_ptr<ShardedEngine> sharded;
-  if (shards > 1) {
-    if (tail_path != nullptr) {
-      std::fprintf(stderr, "--tail is not supported with --shards\n");
-      return 1;
-    }
-    ShardedEngineOptions shard_options;
-    shard_options.shards = shards;
-    shard_options.shard_queue_depth = shed_queue_depth;
-    std::printf("building sharded engine (%zu shards, representation + UPM "
-                "training)...\n",
-                shards);
-    auto built = ShardedEngine::Build(std::move(records), config,
-                                      shard_options);
-    if (!built.ok()) {
-      std::fprintf(stderr, "build failed: %s\n",
-                   built.status().ToString().c_str());
-      return 1;
-    }
-    sharded = std::move(*built);
-  } else {
-    std::printf("building engine (representation + UPM training)...\n");
-    auto built = PqsdaEngine::Build(std::move(records), config);
-    if (!built.ok()) {
-      std::fprintf(stderr, "build failed: %s\n",
-                   built.status().ToString().c_str());
-      return 1;
-    }
-    engine = std::move(*built);
+  std::printf("building engine (representation + UPM training)...\n");
+  auto built = PqsdaEngine::Build(std::move(records), config);
+  if (!built.ok()) {
+    std::fprintf(stderr, "build failed: %s\n",
+                 built.status().ToString().c_str());
+    return 1;
   }
+  std::unique_ptr<PqsdaEngine> engine = std::move(*built);
   // --tail=path: follow a TSV file from its current end; appended complete
   // lines are parsed and ingested live while the prompt keeps serving.
   std::atomic<bool> tail_stop{false};
@@ -455,22 +426,6 @@ int main(int argc, char** argv) {
       continue;
     }
     if (line == "index") {
-      if (sharded) {
-        auto build = sharded->AcquireConsistent();
-        std::printf("build %llu | %zu records | %zu shards | delta depth "
-                    "%zu | upm generation %llu | shard generations [",
-                    static_cast<unsigned long long>(build->build_id),
-                    build->base->records.size(), sharded->shards(),
-                    sharded->delta_depth(),
-                    static_cast<unsigned long long>(build->upm_generation));
-        for (size_t s = 0; s < build->shard_generation.size(); ++s) {
-          std::printf("%s%llu", s > 0 ? " " : "",
-                      static_cast<unsigned long long>(
-                          build->shard_generation[s]));
-        }
-        std::printf("]\n");
-        continue;
-      }
       IndexManager& index = engine->index_manager();
       auto snap = index.Acquire();
       std::printf("generation %llu | %zu records | %zu sessions | delta "
@@ -485,27 +440,6 @@ int main(int argc, char** argv) {
       continue;
     }
     if (line == "rebuild") {
-      if (sharded) {
-        const uint64_t before = sharded->AcquireConsistent()->build_id;
-        Status rebuilt = sharded->RebuildNow();
-        if (!rebuilt.ok()) {
-          std::printf("  (%s)\n", rebuilt.ToString().c_str());
-          continue;
-        }
-        // An ingest may already have scheduled the rebuild on a shard lane;
-        // wait it out so the printed build id reflects the drained buffer.
-        sharded->WaitForRebuilds();
-        const uint64_t after = sharded->AcquireConsistent()->build_id;
-        if (after == before) {
-          std::printf("delta buffer empty; still build %llu\n",
-                      static_cast<unsigned long long>(after));
-        } else {
-          std::printf("build %llu -> %llu\n",
-                      static_cast<unsigned long long>(before),
-                      static_cast<unsigned long long>(after));
-        }
-        continue;
-      }
       IndexManager& index = engine->index_manager();
       const uint64_t before = index.generation();
       Status rebuilt = index.RebuildNow();
@@ -534,24 +468,6 @@ int main(int argc, char** argv) {
       n = std::min(n, holdout.size());
       std::vector<QueryLogRecord> chunk(holdout.begin(), holdout.begin() + n);
       holdout.erase(holdout.begin(), holdout.begin() + n);
-      if (sharded) {
-        size_t fed = 0;
-        Status ingested = Status::OK();
-        for (QueryLogRecord& record : chunk) {
-          ingested = sharded->Ingest(std::move(record));
-          if (!ingested.ok()) break;
-          ++fed;
-        }
-        if (!ingested.ok()) {
-          std::printf("  (%s after %zu records)\n",
-                      ingested.ToString().c_str(), fed);
-          continue;
-        }
-        std::printf("ingested %zu records (%zu held out remain, delta depth "
-                    "%zu)\n",
-                    fed, holdout.size(), sharded->delta_depth());
-        continue;
-      }
       Status ingested =
           engine->index_manager().IngestBatch(std::move(chunk));
       if (!ingested.ok()) {
@@ -564,10 +480,6 @@ int main(int argc, char** argv) {
       continue;
     }
     if (line.rfind("tail ", 0) == 0) {
-      if (sharded) {
-        std::printf("tail inspection is not supported with --shards\n");
-        continue;
-      }
       const char* arg = line.c_str() + 5;
       while (*arg == ' ' || *arg == '@') ++arg;
       const UserId user =
@@ -587,11 +499,6 @@ int main(int argc, char** argv) {
     }
 
     if (line.rfind("explain ", 0) == 0) {
-      if (sharded) {
-        std::printf("explain capture is not supported with --shards (use "
-                    "--stats for per-shard rungs)\n");
-        continue;
-      }
       SuggestionRequest request = ParseRequest(line.substr(8));
       if (request.query.empty()) continue;
       CancelToken token;
@@ -613,10 +520,6 @@ int main(int argc, char** argv) {
     }
 
     if (line.rfind("replay ", 0) == 0) {
-      if (sharded) {
-        std::printf("replay is not supported with --shards\n");
-        continue;
-      }
       if (request_log_path == nullptr) {
         std::printf("replay needs --request_log=path\n");
         continue;
@@ -710,8 +613,7 @@ int main(int argc, char** argv) {
           request.cancel = &tokens.back();
         }
       }
-      auto results = sharded ? sharded->SuggestBatch(requests, 10)
-                             : engine->SuggestBatch(requests, 10);
+      auto results = engine->SuggestBatch(requests, 10);
       for (size_t r = 0; r < results.size(); ++r) {
         std::printf("[%zu] %s\n", r + 1, requests[r].query.c_str());
         if (!results[r].ok()) {
@@ -739,8 +641,7 @@ int main(int argc, char** argv) {
     if (show_stats) before = obs::MetricsRegistry::Default().Snapshot();
     SuggestStats stats;
     auto suggestions =
-        sharded ? sharded->Suggest(request, 10, show_stats ? &stats : nullptr)
-                : engine->Suggest(request, 10, show_stats ? &stats : nullptr);
+        engine->Suggest(request, 10, show_stats ? &stats : nullptr);
     if (!suggestions.ok()) {
       std::printf("  (%s)\n", suggestions.status().ToString().c_str());
       continue;

@@ -16,17 +16,17 @@ run() { echo "===== $* ====="; env "${@:2}" timeout 1200 "$B/$1"; echo; }
 # (snapshot publication/reclaim racing in-flight requests), the stage
 # profiler (thread-local accumulators folding into the shared epoch ring),
 # the explain layer (thread-local sinks, the /explainz ring, replay
-# racing rebuilds) and the sharded scatter-gather path (per-shard lanes,
-# publication slots, cross-shard fetches racing holdback swaps) — plus the
+# racing rebuilds), the delta-aware cache (validation partition, cache
+# policies and the staleness oracle under concurrent churn) — plus the
 # SIMD kernel dispatch (kernel_equivalence_test) — by running obs_test,
 # serving_test, telemetry_test, fault_injection_test, ingest_test,
-# profiler_test, explain_test, sharding_test and kernel_equivalence_test
-# under ThreadSanitizer before spending 20 minutes on figures. Skip with
-# PQSDA_TSAN_VERIFY=0.
+# profiler_test, explain_test, shard_partition_test, cache_policy_test and
+# kernel_equivalence_test under ThreadSanitizer before spending 20 minutes
+# on figures. Skip with PQSDA_TSAN_VERIFY=0.
 if [ "${PQSDA_TSAN_VERIFY:-1}" = "1" ]; then
-  echo "===== verify: obs + serving + telemetry + fault_injection + ingest + profiler + explain + sharding + kernel_equivalence tests under ThreadSanitizer ====="
+  echo "===== verify: obs + serving + telemetry + fault_injection + ingest + profiler + explain + shard_partition + cache_policy + kernel_equivalence tests under ThreadSanitizer ====="
   cmake -B build-tsan -S . -DPQSDA_ENABLE_TSAN=ON >/dev/null &&
-    cmake --build build-tsan --target obs_test serving_test telemetry_test fault_injection_test ingest_test profiler_test explain_test sharding_test cache_policy_test kernel_equivalence_test -j >/dev/null &&
+    cmake --build build-tsan --target obs_test serving_test telemetry_test fault_injection_test ingest_test profiler_test explain_test shard_partition_test cache_policy_test kernel_equivalence_test -j >/dev/null &&
     timeout 600 ./build-tsan/tests/obs_test &&
     timeout 600 ./build-tsan/tests/serving_test &&
     timeout 600 ./build-tsan/tests/telemetry_test &&
@@ -34,7 +34,7 @@ if [ "${PQSDA_TSAN_VERIFY:-1}" = "1" ]; then
     timeout 600 ./build-tsan/tests/ingest_test &&
     timeout 600 ./build-tsan/tests/profiler_test &&
     timeout 600 ./build-tsan/tests/explain_test &&
-    timeout 600 ./build-tsan/tests/sharding_test &&
+    timeout 600 ./build-tsan/tests/shard_partition_test &&
     timeout 600 ./build-tsan/tests/cache_policy_test &&
     timeout 600 ./build-tsan/tests/kernel_equivalence_test || {
       echo "TSAN verify failed" >&2
@@ -48,15 +48,15 @@ fi
 # request serving out of generation g while g+1 swaps in must never touch
 # freed memory. Skip with PQSDA_ASAN_VERIFY=0.
 if [ "${PQSDA_ASAN_VERIFY:-1}" = "1" ]; then
-  echo "===== verify: ingest + serving + fault_injection + profiler + explain + sharding + kernel_equivalence tests under AddressSanitizer ====="
+  echo "===== verify: ingest + serving + fault_injection + profiler + explain + shard_partition + cache_policy + kernel_equivalence tests under AddressSanitizer ====="
   cmake -B build-asan -S . -DPQSDA_ENABLE_ASAN=ON >/dev/null &&
-    cmake --build build-asan --target ingest_test serving_test fault_injection_test profiler_test explain_test sharding_test cache_policy_test kernel_equivalence_test -j >/dev/null &&
+    cmake --build build-asan --target ingest_test serving_test fault_injection_test profiler_test explain_test shard_partition_test cache_policy_test kernel_equivalence_test -j >/dev/null &&
     timeout 600 ./build-asan/tests/ingest_test &&
     timeout 600 ./build-asan/tests/serving_test &&
     timeout 600 ./build-asan/tests/fault_injection_test &&
     timeout 600 ./build-asan/tests/profiler_test &&
     timeout 600 ./build-asan/tests/explain_test &&
-    timeout 600 ./build-asan/tests/sharding_test &&
+    timeout 600 ./build-asan/tests/shard_partition_test &&
     timeout 600 ./build-asan/tests/cache_policy_test &&
     timeout 600 ./build-asan/tests/kernel_equivalence_test || {
       echo "ASan verify failed" >&2
@@ -90,23 +90,12 @@ if ! grep -q '"gate_pass": true' BENCH_explain.json 2>/dev/null; then
   echo "explain-overhead gate FAILED (see BENCH_explain.json)" >&2
   exit 1
 fi
-# Sharded scatter-gather, both halves of its promise: admitted capacity
-# under a burst must scale (>= 1.6x at 4 shards vs 1), and every shard
-# count must serve bitwise-identical lists on the sequential probes.
 # Adaptive cache hierarchy, both halves of its promise: the better of
 # ARC/CAR must match-or-beat LRU's hit rate under scan pollution, and
 # delta-aware validation must retain >= 1.3x the hits of whole-generation
 # keying across the same swap-churn schedule.
 if ! grep -q '"gate_pass": true' BENCH_cache.json 2>/dev/null; then
   echo "adaptive-cache gate FAILED (see BENCH_cache.json)" >&2
-  exit 1
-fi
-if ! grep -q '"gate_pass": true' BENCH_sharding.json 2>/dev/null; then
-  echo "shard-scaling gate FAILED (see BENCH_sharding.json)" >&2
-  exit 1
-fi
-if ! grep -q '"invariance_pass": true' BENCH_sharding.json 2>/dev/null; then
-  echo "shard-invariance gate FAILED (see BENCH_sharding.json)" >&2
   exit 1
 fi
 # The kernel numbers below are only worth publishing if the vectorized

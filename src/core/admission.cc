@@ -25,44 +25,26 @@ Status AdmissionController::Admit() const {
 
   FaultInjector& injector = FaultInjector::Default();
   if (options_.max_queue_depth > 0) {
-    const ThreadPool& pool =
-        options_.pool != nullptr ? *options_.pool : ThreadPool::Shared();
-    const char* depth_point = options_.queue_depth_point.empty()
-                                  ? faults::kQueueDepth
-                                  : options_.queue_depth_point.c_str();
-    // Queued tasks plus requests executing right now: single-request
-    // serving runs on the calling thread without ever enqueuing, so queue
-    // depth alone is blind to it (the wired in-flight counter is what makes
-    // the gate react to non-batch load).
-    uint64_t live = pool.QueueDepth();
-    if (options_.inflight != nullptr) {
-      live += options_.inflight->load(std::memory_order_relaxed);
-    }
-    const int64_t depth =
-        injector.Value(depth_point, static_cast<int64_t>(live));
+    const int64_t depth = injector.Value(
+        faults::kQueueDepth,
+        static_cast<int64_t>(ThreadPool::Shared().QueueDepth()));
     if (depth > static_cast<int64_t>(options_.max_queue_depth)) {
       shed_total.Increment();
-      return Status::Unavailable(
-          "load shed: queue depth + in-flight " + std::to_string(depth) +
-          " > " + std::to_string(options_.max_queue_depth));
+      return Status::Unavailable("load shed: queue depth " +
+                                 std::to_string(depth) + " > " +
+                                 std::to_string(options_.max_queue_depth));
     }
   }
   if (options_.max_p95_us > 0.0) {
     // The injector override carries microseconds directly (int64); the live
-    // reading merges the trailing window of the configured latency
-    // histogram — the controller's own (a per-shard window for per-shard
-    // gates) or the global serving telemetry when none is wired.
-    const char* p95_point = options_.p95_point.empty()
-                                ? faults::kP95Us
-                                : options_.p95_point.c_str();
-    const int64_t fake = injector.Value(p95_point, -1);
-    const obs::SlidingWindowHistogram& latency =
-        options_.latency != nullptr
-            ? *options_.latency
-            : obs::ServingTelemetry::Default().latency();
+    // reading merges the trailing window of the serving telemetry.
+    const int64_t fake = injector.Value(faults::kP95Us, -1);
     const double p95 =
         fake >= 0 ? static_cast<double>(fake)
-                  : latency.SnapshotOver(options_.p95_window_ns).p95;
+                  : obs::ServingTelemetry::Default()
+                        .latency()
+                        .SnapshotOver(options_.p95_window_ns)
+                        .p95;
     if (p95 > options_.max_p95_us) {
       shed_total.Increment();
       return Status::Unavailable(

@@ -1,55 +1,24 @@
 #ifndef PQSDA_CORE_ADMISSION_H_
 #define PQSDA_CORE_ADMISSION_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "common/status.h"
 
 namespace pqsda {
 
-class ThreadPool;
-
-namespace obs {
-class SlidingWindowHistogram;
-}  // namespace obs
-
 /// Load-shedding policy applied before any per-request work.
 struct AdmissionOptions {
-  /// Shed when the observed load — the pool's queue depth plus, when
-  /// `inflight` is wired, the requests currently executing — exceeds this.
-  /// 0 disables the queue-depth gate.
+  /// Shed when the shared pool's queue depth exceeds this. 0 disables the
+  /// queue-depth gate.
   size_t max_queue_depth = 0;
-  /// Shed when the windowed request-latency p95 (microseconds, over
-  /// `p95_window_ns`) exceeds this. 0 disables the latency gate.
+  /// Shed when the serving telemetry's windowed request-latency p95
+  /// (microseconds, over `p95_window_ns`) exceeds this. 0 disables the
+  /// latency gate.
   double max_p95_us = 0.0;
   /// Window the latency gate reads (trailing).
   int64_t p95_window_ns = 10'000'000'000;
-  /// Pool whose queue depth the gate reads; null means ThreadPool::Shared().
-  /// The sharded engine points each shard's controller at that shard's lane,
-  /// so one saturated shard sheds alone while the others keep admitting.
-  /// The pool must outlive the controller.
-  const ThreadPool* pool = nullptr;
-  /// Requests currently executing against the gated resource, added to the
-  /// queue-depth signal. Single-request serving runs on the calling thread
-  /// and never enqueues on a lane, so without this counter the depth gate
-  /// would read 0 under pure non-batch load; the sharded engine wires each
-  /// shard's in-flight counter here. Null means the gate reads queue depth
-  /// alone. Must outlive the controller.
-  const std::atomic<uint64_t>* inflight = nullptr;
-  /// Latency histogram the p95 gate reads; null falls back to the global
-  /// obs::ServingTelemetry window. Per-shard controllers point this at
-  /// their shard's own window — a gate meant to make one slow shard degrade
-  /// alone must not read process-wide latency, or one slow shard trips
-  /// every shard's gate. Must outlive the controller.
-  const obs::SlidingWindowHistogram* latency = nullptr;
-  /// Override point names consulted through FaultInjector::Value for the
-  /// queue-depth / p95 signals. Empty means the global admission points
-  /// (faults::kQueueDepth / kP95Us); per-shard controllers scope them (e.g.
-  /// "shard.2.queue_depth") so a test can saturate exactly one shard.
-  std::string queue_depth_point;
-  std::string p95_point;
 };
 
 /// Admission controller in front of the suggestion request path: an

@@ -58,6 +58,25 @@ struct IngestMetrics {
 
 }  // namespace
 
+CacheValidity ValidateCacheEntry(
+    const IndexSnapshot& snap,
+    const SuggestionCache::ValidationVector& components) {
+  bool stale = false;
+  for (const auto& [component, gen] : components) {
+    uint64_t current;
+    if (component == kUpmComponent) {
+      current = snap.upm_generation;
+    } else if (component < snap.validation_generation.size()) {
+      current = snap.validation_generation[component];
+    } else {
+      return CacheValidity::kStale;
+    }
+    if (gen > current) return CacheValidity::kMismatch;
+    if (gen < current) stale = true;
+  }
+  return stale ? CacheValidity::kStale : CacheValidity::kValid;
+}
+
 StatusOr<std::shared_ptr<IndexSnapshot>> BuildIndexSnapshot(
     std::vector<QueryLogRecord> records, const PqsdaEngineConfig& config,
     uint64_t generation) {
@@ -106,8 +125,6 @@ StatusOr<std::shared_ptr<IndexSnapshot>> BuildIndexSnapshot(
     snap->corpus = std::make_unique<QueryLogCorpus>(
         QueryLogCorpus::Build(snap->records, snap->sessions));
   }
-  snap->diversifier =
-      std::make_unique<PqsdaDiversifier>(*snap->mb, config.diversifier);
   {
     // Validation slices for delta-aware cache invalidation: strict
     // ownership (no hot-row replication) so every query row belongs to
@@ -121,6 +138,10 @@ StatusOr<std::shared_ptr<IndexSnapshot>> BuildIndexSnapshot(
     snap->validation_generation.assign(snap->validation.shard.size(),
                                        generation);
   }
+  // The diversifier's expansion reports which validation components each
+  // request read, against the partition just built.
+  snap->diversifier = std::make_unique<PqsdaDiversifier>(
+      *snap->mb, config.diversifier, snap->validation.query_owner);
   snap->upm_generation = generation;
   if (config.personalize) {
     obs::TraceSpan span("upm_train");

@@ -22,6 +22,7 @@
 #include "log/sessionizer.h"
 #include "log/stream_sessionizer.h"
 #include "suggest/pqsda_diversifier.h"
+#include "suggest/suggestion_cache.h"
 #include "topic/corpus.h"
 #include "topic/upm.h"
 
@@ -33,6 +34,12 @@ namespace pqsda {
 /// rebuild that only changes some partitions' fingerprints only invalidates
 /// cache entries whose recorded reads touched those partitions.
 inline constexpr size_t kCacheValidationComponents = 8;
+static_assert(kCacheValidationComponents <= 64,
+              "components_read is a 64-bit mask");
+/// Synthetic ValidationVector component of the personalization model: a
+/// reranked entry also depends on the UPM, validated against
+/// IndexSnapshot::upm_generation.
+inline constexpr uint32_t kUpmComponent = 0xFFFFFFFFu;
 
 /// One immutable, generation-numbered build of the §III query-log index and
 /// everything derived from it: the sorted records, their sessions, the
@@ -82,6 +89,18 @@ struct IndexSnapshot {
   /// sees new evidence — so it bumps every swap).
   uint64_t upm_generation = 0;
 };
+
+/// Grades a delta-aware cache entry's ValidationVector against the
+/// generations `snap` serves: kValid when every recorded component still has
+/// the generation the entry read; kStale when any component has moved on
+/// since (or is unknown to this snapshot); kMismatch when any component is
+/// *newer* than the snapshot's — the entry was filled against a generation
+/// built after the one the reader pinned (a retired-generation reader racing
+/// a post-swap warmup fill), so the reader misses but the entry stays for
+/// current-generation readers.
+CacheValidity ValidateCacheEntry(
+    const IndexSnapshot& snap,
+    const SuggestionCache::ValidationVector& components);
 
 /// From-scratch batch build of one snapshot: sort, sessionize, representation,
 /// corpus, and (when configured) UPM + Personalizer. This is the single build

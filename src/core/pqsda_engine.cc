@@ -8,7 +8,6 @@
 
 #include "common/fault_injector.h"
 #include "common/timer.h"
-#include "core/sharded_engine.h"
 #include "eval/diversity.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
@@ -57,6 +56,13 @@ void AlignExplainToServed(obs::ExplainRecord& record,
                       const obs::ExplainCandidate& b) {
                      return a.final_rank < b.final_rank;
                    });
+}
+
+// The validation component that owns `query`'s string.
+uint32_t PrimaryComponentOf(const IndexSnapshot& snap,
+                            const std::string& query) {
+  return static_cast<uint32_t>(
+      ShardRouter{snap.validation.shards}.QueryShardOf(query));
 }
 
 }  // namespace
@@ -423,26 +429,8 @@ StatusOr<std::vector<Suggestion>> PqsdaEngine::SuggestImpl(
       // that last changed that component's content. A swap that left those
       // components byte-identical leaves the entry servable.
       cache_key = SuggestionCache::KeyOf(request, k, /*generation=*/0);
-      validator = [&snap](const SuggestionCache::ValidationVector& components)
-          -> CacheValidity {
-        bool stale = false;
-        for (const auto& [component, gen] : components) {
-          uint64_t current;
-          if (component == ShardServingContext::kUpmComponent) {
-            current = snap.upm_generation;
-          } else if (component < snap.validation_generation.size()) {
-            current = snap.validation_generation[component];
-          } else {
-            return CacheValidity::kStale;
-          }
-          // Newer than this snapshot: the entry belongs to a generation
-          // built after the one this request pinned (replay of a retired
-          // generation racing a warmup fill). Miss, but keep the entry —
-          // it is perfectly valid for current-generation readers.
-          if (gen > current) return CacheValidity::kMismatch;
-          if (gen < current) stale = true;
-        }
-        return stale ? CacheValidity::kStale : CacheValidity::kValid;
+      validator = [&snap](const SuggestionCache::ValidationVector& components) {
+        return ValidateCacheEntry(snap, components);
       };
     } else {
       // Whole-generation mode: the snapshot generation is part of the key,
@@ -486,42 +474,19 @@ StatusOr<std::vector<Suggestion>> PqsdaEngine::SuggestImpl(
   if (rung == DegradationRung::kTruncatedSolve) options = &truncated_options_;
   if (rung == DegradationRung::kWalkOnly) options = &walk_only_options_;
 
-  // Delta-aware fills must know which validation components the request
-  // read, so the full-rung pipeline runs over the tracking backend — the
-  // scatter-gather seam with every shard local, bitwise-identical to the
-  // plain walk (sharding differential tests pin that equivalence).
-  const bool track = use_cache && delta_aware &&
-                     rung == DegradationRung::kFull && snap.mb != nullptr;
-  ShardServingContext ctx;
-  StatusOr<DiversificationOutput> diversified = Status::Internal("unset");
-  if (track) {
-    ctx.mb = snap.mb.get();
-    ctx.partition = &snap.validation;
-    ctx.router.shards = snap.validation.shards;
-    ctx.primary = ctx.router.QueryShardOf(request.query);
-    ctx.rung.assign(snap.validation.shards, SuggestStats::kShardUntouched);
-    ctx.shard_fetches.assign(snap.validation.shards, 0);
-    ctx.rung[ctx.primary] = SuggestStats::kShardFull;
-    ShardedWalkBackend backend(&ctx, /*lanes=*/{});
-    PqsdaDiversifier tracking(*snap.mb, *options, &backend);
-    diversified = tracking.DiversifyWith(request, k, *options, stats);
-  } else {
-    diversified = snap.diversifier->DiversifyWith(request, k, *options, stats);
-  }
+  StatusOr<DiversificationOutput> diversified =
+      snap.diversifier->DiversifyWith(request, k, *options, stats);
   if (!diversified.ok()) {
     const Status status = diversified.status();
     // Remember full-rung NotFounds, stamped with the owning component's
     // generation (the verdict "this query is unknown" depends only on the
-    // owner shard's content); an ingest that changes that shard re-asks.
+    // owner component's content); an ingest that changes it re-asks.
     if (use_cache && negative_cache_ != nullptr &&
         rung == DegradationRung::kFull &&
         status.code() == StatusCode::kNotFound) {
       SuggestionCache::ValidationVector components;
       if (delta_aware) {
-        ShardRouter router;
-        router.shards = snap.validation.shards;
-        const uint32_t owner =
-            static_cast<uint32_t>(router.QueryShardOf(request.query));
+        const uint32_t owner = PrimaryComponentOf(snap, request.query);
         components.emplace_back(owner, snap.validation_generation[owner]);
       }
       negative_cache_->Insert(cache_key, std::move(components));
@@ -544,16 +509,20 @@ StatusOr<std::vector<Suggestion>> PqsdaEngine::SuggestImpl(
   // under the same key would outlive the overload that justified it.
   if (cache_ != nullptr && !bypass_cache && rung == DegradationRung::kFull) {
     SuggestionCache::ValidationVector components;
-    if (track) {
-      for (size_t s = 0; s < ctx.rung.size(); ++s) {
-        if (ctx.rung[s] != SuggestStats::kShardUntouched) {
-          components.emplace_back(static_cast<uint32_t>(s),
-                                  snap.validation_generation[s]);
+    if (delta_aware) {
+      // The expansion reported the validation components it read; the
+      // request's own component is always read too: it decides whether the
+      // query is known at all (and owns the term-seeded unknown queries).
+      const uint64_t read =
+          diversified->components_read |
+          uint64_t{1} << PrimaryComponentOf(snap, request.query);
+      for (uint32_t c = 0; c < snap.validation_generation.size(); ++c) {
+        if ((read >> c) & 1) {
+          components.emplace_back(c, snap.validation_generation[c]);
         }
       }
       if (reranked) {
-        components.emplace_back(ShardServingContext::kUpmComponent,
-                                snap.upm_generation);
+        components.emplace_back(kUpmComponent, snap.upm_generation);
       }
     }
     cache_->Insert(cache_key, list, std::move(components));

@@ -11,9 +11,6 @@ namespace {
 // bipartite: q -> object -> q', using row-normalized transitions. Results are
 // accumulated into `out`. The flat maps iterate in insertion order, so the
 // accumulation order — and with it the admitted set — is deterministic.
-// This loop nest *is* the canonical order of the CompactWalkBackend bitwise
-// contract; the sharded backend (src/core/sharded_engine.cc) mirrors the
-// inner expression and replays this merge order on gathered contributions.
 void StepThroughBipartite(const BipartiteGraph& g,
                           const FlatMap<StringId, double>& mass,
                           double scale, FlatMap<StringId, double>& out) {
@@ -69,6 +66,10 @@ StatusOr<CompactRepresentation> CompactBuilder::BuildFromSeeds(
   }
 
   CompactRepresentation rep;
+  const bool track = stats != nullptr && !query_owner_.empty();
+  auto mark = [&](StringId q) {
+    stats->components_read |= uint64_t{1} << query_owner_[q];
+  };
   auto add_query = [&rep](StringId q) {
     if (rep.local_index.count(q) > 0) return;
     rep.local_index.emplace(q, static_cast<uint32_t>(rep.queries.size()));
@@ -92,16 +93,15 @@ StatusOr<CompactRepresentation> CompactBuilder::BuildFromSeeds(
        ++round) {
     FlatMap<StringId, double> reached;
     for (BipartiteKind kind : kAllBipartites) {
-      if (backend_ != nullptr) {
-        Status step = backend_->Step(kind, mass, 1.0 / 3.0, reached);
-        if (!step.ok()) return step;
-      } else {
-        StepThroughBipartite(mb_->graph(kind), mass, 1.0 / 3.0, reached);
-      }
+      StepThroughBipartite(mb_->graph(kind), mass, 1.0 / 3.0, reached);
     }
     if (stats != nullptr) {
       ++stats->rounds;
       stats->walk_steps += 3;
+      // Every frontier row was read, whether or not it had mass to pass on.
+      if (track) {
+        for (const auto& entry : mass) mark(entry.first);
+      }
     }
     std::vector<std::pair<double, StringId>> outsiders;
     for (const auto& [q, p] : reached) {
@@ -126,6 +126,9 @@ StatusOr<CompactRepresentation> CompactBuilder::BuildFromSeeds(
 
   // Induce local W^X on the member queries; objects are re-indexed to those
   // actually touched.
+  if (track) {
+    for (StringId q : rep.queries) mark(q);
+  }
   for (BipartiteKind kind : kAllBipartites) {
     size_t ki = static_cast<size_t>(kind);
     const CsrMatrix& q2o = mb_->graph(kind).query_to_object();
@@ -133,15 +136,8 @@ StatusOr<CompactRepresentation> CompactBuilder::BuildFromSeeds(
     std::vector<Triplet> triplets;
     for (uint32_t local = 0; local < rep.queries.size(); ++local) {
       StringId global = rep.queries[local];
-      std::span<const uint32_t> idx;
-      std::span<const double> val;
-      if (backend_ != nullptr) {
-        Status row = backend_->QueryRow(kind, global, idx, val);
-        if (!row.ok()) return row;
-      } else {
-        idx = q2o.RowIndices(global);
-        val = q2o.RowValues(global);
-      }
+      auto idx = q2o.RowIndices(global);
+      auto val = q2o.RowValues(global);
       for (size_t k = 0; k < idx.size(); ++k) {
         auto [it, inserted] = object_index.emplace(
             idx[k], static_cast<uint32_t>(object_index.size()));

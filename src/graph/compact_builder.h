@@ -72,40 +72,12 @@ struct CompactBuildStats {
   size_t candidates_scored = 0;
   /// Queries admitted beyond the seeds.
   size_t queries_admitted = 0;
-};
-
-/// The row-source seam of the §IV-A expansion. The walk and the induction
-/// read the full representation only through these two operations, so a
-/// scatter-gather coordinator can substitute per-shard fetches without the
-/// builder (or anything downstream of the compact representation) knowing.
-///
-/// Bitwise contract — what makes sharded results provably equal to the
-/// unsharded ones (tests/sharding_test.cc): FP addition is non-associative,
-/// so an implementation must reproduce the *canonical accumulation order*
-/// of the local walk exactly:
-///  - Step accumulates into `out` iterating `mass` in insertion order, each
-///    frontier row's objects in row order, each object row in row order,
-///    and every contribution evaluated as
-///    `((((scale * p) * p_obj) * q_val[k2]) / obj_sum)` — where contributions
-///    are computed is free (replica, remote shard), where they are *summed*
-///    is not.
-///  - QueryRow returns the query->object row verbatim (the induction copies
-///    it in row order).
-class CompactWalkBackend {
- public:
-  virtual ~CompactWalkBackend() = default;
-
-  /// One two-step walk pass (q -> object -> q') through `kind` from `mass`,
-  /// accumulated into `out` in canonical order. Errors abort the build.
-  virtual Status Step(BipartiteKind kind, const FlatMap<StringId, double>& mass,
-                      double scale, FlatMap<StringId, double>& out) const = 0;
-
-  /// The query->object row of one member query for the induction. An
-  /// implementation may return empty spans for a row it cannot serve (a
-  /// degraded shard's cold row) — deterministically for the whole request.
-  virtual Status QueryRow(BipartiteKind kind, StringId query,
-                          std::span<const uint32_t>& indices,
-                          std::span<const double>& values) const = 0;
+  /// Components-read bitmask, filled only when the builder has an owner
+  /// map: bit c is set when the build read a row of a query owned by
+  /// component c — every row of every executed round's walk frontier
+  /// (zero-sum rows included) and every member row the induction copies.
+  /// The delta-aware cache records exactly these components' generations.
+  uint64_t components_read = 0;
 };
 
 /// Expands the seed set (input query + search context) through the full
@@ -115,12 +87,12 @@ class CompactWalkBackend {
 /// `target_size` queries.
 class CompactBuilder {
  public:
-  /// A null `backend` reads `mb` directly (the unsharded serving path, kept
-  /// branch-for-branch identical to the pre-seam code); a non-null backend
-  /// owns every row read of the expansion and induction.
+  /// `query_owner`, when non-empty, maps every global query id of `mb` to
+  /// its component (< 64) and turns on CompactBuildStats::components_read.
+  /// The span must outlive the builder.
   explicit CompactBuilder(const MultiBipartite& mb,
-                          const CompactWalkBackend* backend = nullptr)
-      : mb_(&mb), backend_(backend) {}
+                          std::span<const uint32_t> query_owner = {})
+      : mb_(&mb), query_owner_(query_owner) {}
 
   /// `input_query` must be a valid query id of the source representation;
   /// context ids that are invalid are skipped. `stats`, when non-null,
@@ -139,7 +111,7 @@ class CompactBuilder {
 
  private:
   const MultiBipartite* mb_;
-  const CompactWalkBackend* backend_;
+  std::span<const uint32_t> query_owner_;
 };
 
 }  // namespace pqsda

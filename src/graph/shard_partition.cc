@@ -14,7 +14,7 @@ namespace {
 // every rebuild, so per-entry hashes must be combined commutatively
 // (wrapping addition) to make the row fingerprint content-defined.
 uint64_t Mix2(uint64_t a, uint64_t b) {
-  return ShardRouter::MixUser(a ^ ShardRouter::MixUser(b));
+  return ShardRouter::Mix64(a ^ ShardRouter::Mix64(b));
 }
 
 uint64_t DoubleBits(double v) { return std::bit_cast<uint64_t>(v); }

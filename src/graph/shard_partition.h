@@ -3,22 +3,54 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
-#include "core/shard_router.h"
 #include "graph/multi_bipartite.h"
 
 namespace pqsda {
 
-/// Partitioning knobs for the sharded serving path.
+/// Deterministic query placement: queries route by a hash of their
+/// *string*, never their interned id — ids shift between index generations
+/// as fresh queries interleave into the log, and a placement that moved on
+/// every rebuild would defeat the per-component generation accounting of
+/// the cache. Pure, so the partition builder, the engine and the tests all
+/// derive the same placement independently.
+struct ShardRouter {
+  size_t shards = 1;
+
+  /// FNV-1a 64 over the bytes (the same family as obs::Fingerprint64, kept
+  /// dependency-free here because the graph layer partitions with it).
+  static uint64_t HashBytes(std::string_view s) {
+    uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : s) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+    return h;
+  }
+
+  /// SplitMix64 finalizer, the pairwise mixer of the content fingerprints.
+  static uint64_t Mix64(uint64_t x) {
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  }
+
+  size_t QueryShardOf(std::string_view query) const {
+    return shards <= 1 ? 0 : static_cast<size_t>(HashBytes(query) % shards);
+  }
+};
+
+/// Partitioning knobs.
 struct ShardPartitionOptions {
   size_t shards = 1;
   /// Query rows whose total query->object degree (summed over the three
   /// bipartites) reaches this are *hot boundary rows*: they are reached
-  /// from nearly every expansion frontier, so instead of paying a
-  /// cross-shard fetch per round they are replicated to every shard and
-  /// answered locally. 0 disables replication (strict ownership — what the
-  /// routing-discipline tests use).
+  /// from nearly every expansion frontier, so they are replicated into
+  /// every shard's slice (and fingerprint). 0 disables replication (strict
+  /// ownership — what the engine's cache-validation partition uses).
   size_t hot_row_min_degree = 48;
 };
 
@@ -28,12 +60,10 @@ struct ShardPartitionOptions {
 /// the shard's slice of the graph.
 ///
 /// The partition is a *view* over the immutable snapshot, not a physical
-/// re-layout: every shard reads the shared CSR storage, and ownership is
-/// enforced at the fetch API (ShardedWalkBackend), where a read of a row
-/// that is neither owned nor replicated is a routing bug the differential
-/// harness turns into a loud failure. Splitting the physical row storage
-/// behind the same view API is mechanical follow-up work; the semantics —
-/// what the scatter-gather layer is allowed to read where — are fixed here.
+/// re-layout: it only assigns rows to shards. The engine uses it as the
+/// component map of delta-aware cache validation — the §IV-A walk reports
+/// which components' rows it read (CompactBuildStats::components_read), and
+/// a rebuild bumps a component's generation only when its fingerprint moved.
 struct ShardPartition {
   size_t shards = 1;
   /// Owning shard of each global query id (ShardRouter::QueryShardOf over
@@ -58,16 +88,16 @@ struct ShardPartition {
     /// Covering adjacent objects' whole rows (not just their identities)
     /// matters: an edge-count delta on a query owned by another shard
     /// still changes the contributions flowing through a shared object
-    /// into this shard's rows. The sharded engine bumps a shard's
-    /// generation only on a fingerprint change, which is what lets a
-    /// single-shard delta invalidate only the cache entries whose served
-    /// content it could actually have affected.
+    /// into this shard's rows. The engine bumps a component's generation
+    /// only on a fingerprint change, which is what lets a single-component
+    /// delta invalidate only the cache entries whose served content it
+    /// could actually have affected.
     uint64_t content_fingerprint = 0;
   };
   std::vector<PerShard> shard;
 
   bool Owns(size_t s, StringId q) const { return query_owner[q] == s; }
-  /// Whether shard `s` can answer a fetch of query row `q` (owned or hot).
+  /// Whether query row `q` is part of shard `s`'s slice (owned or hot).
   bool HasRow(size_t s, StringId q) const {
     return query_owner[q] == s || hot[q] != 0;
   }

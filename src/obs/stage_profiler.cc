@@ -33,8 +33,7 @@ size_t WindowEpochs(int64_t window_ns, int64_t epoch_ns, size_t ring) {
 
 constexpr const char* kStageNames[kProfileStageCount] = {
     "request", "cache",      "expansion",  "solve",      "selection",
-    "personalization", "drain", "sessionize", "graph_build", "publish",
-    "scatter_gather"};
+    "personalization", "drain", "sessionize", "graph_build", "publish"};
 
 constexpr const char* kRungNames[kProfileRungCount] = {
     "rung_full", "rung_truncated_solve", "rung_walk_only", "rung_cache_only",
@@ -279,11 +278,7 @@ std::string StageProfiler::ProfilezJson(int64_t window_ns) const {
       if (s == request_idx) continue;
       const StageCost& stage = snap.per_rung[r][s];
       if (stage.count == 0 && stage.work == 0) continue;
-      // kScatterGather nests inside kExpansion: its wall is already part of
-      // the expansion's, so adding it again would deflate the "self" leaf.
-      if (s != static_cast<size_t>(ProfileStage::kScatterGather)) {
-        attributed_ns += stage.wall_ns;
-      }
+      attributed_ns += stage.wall_ns;
       if (!first_stage) out += ",";
       first_stage = false;
       out += "{\"name\":\"" + std::string(kStageNames[s]) + "\",";

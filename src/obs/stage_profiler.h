@@ -38,15 +38,9 @@ enum class ProfileStage : size_t {
   kSessionize, // record -> session grouping
   kGraphBuild, // bipartite representation + corpus
   kPublish,    // snapshot swap + gauge updates
-  // Sharded serving: cross-shard fetch + ordered merge time of the
-  // scatter-gather coordinator. Nests inside kExpansion (the backend runs
-  // under the expansion scope); ProfilezJson clamps self-time at zero, so
-  // the overlap is safe and the leaf reads as "of the expansion, this much
-  // was spent gathering from remote shards".
-  kScatterGather,
 };
 
-inline constexpr size_t kProfileStageCount = 11;
+inline constexpr size_t kProfileStageCount = 10;
 /// Lanes 0..3 are DegradationRung values; lane 4 is the rebuild path.
 inline constexpr size_t kProfileRungCount = 5;
 inline constexpr size_t kProfileRebuildLane = 4;

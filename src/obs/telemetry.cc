@@ -463,42 +463,6 @@ std::string ServingTelemetry::StatuszJson() const {
              reg.GetCounter("pqsda.ingest.rebuild_failures_total").Value());
   out += "}";
 
-  // Sharded serving (present only when a ShardedEngine has published its
-  // shard count): per-shard traffic, degradation and generation, plus the
-  // coordinator-level partial-merge total. All names are stable
-  // pqsda.shard.<i>.* registry entries so the section costs nothing when
-  // unsharded.
-  const auto shard_count =
-      static_cast<size_t>(reg.GetGauge("pqsda.shard.count").Value());
-  if (shard_count > 0) {
-    out += ",\"shards\":{\"count\":" + std::to_string(shard_count);
-    out += ",\"partial_merges_total\":" +
-           std::to_string(
-               reg.GetCounter("pqsda.sharded.partial_merges_total").Value());
-    out += ",\"replicated_hot_rows\":" +
-           Num(reg.GetGauge("pqsda.shard.replicated_hot_rows").Value());
-    out += ",\"per_shard\":[";
-    for (size_t s = 0; s < shard_count; ++s) {
-      const std::string prefix = "pqsda.shard." + std::to_string(s) + ".";
-      if (s > 0) out += ",";
-      out += "{\"shard\":" + std::to_string(s);
-      out += ",\"generation\":" +
-             Num(reg.GetGauge(prefix + "generation").Value());
-      out += ",\"requests_total\":" +
-             std::to_string(reg.GetCounter(prefix + "requests_total").Value());
-      out += ",\"fetches_total\":" +
-             std::to_string(reg.GetCounter(prefix + "fetches_total").Value());
-      out += ",\"shed_total\":" +
-             std::to_string(reg.GetCounter(prefix + "shed_total").Value());
-      out += ",\"degraded_total\":" +
-             std::to_string(reg.GetCounter(prefix + "degraded_total").Value());
-      out += ",\"deadline_total\":" +
-             std::to_string(reg.GetCounter(prefix + "deadline_total").Value());
-      out += "}";
-    }
-    out += "]}";
-  }
-
   out += ",\"requests\":{\"total\":" +
          std::to_string(reg.GetCounter("pqsda.suggest.requests_total").Value());
   out += ",\"errors\":" +

@@ -16,8 +16,8 @@ namespace pqsda {
 
 PqsdaDiversifier::PqsdaDiversifier(const MultiBipartite& mb,
                                    PqsdaDiversifierOptions options,
-                                   const CompactWalkBackend* backend)
-    : mb_(&mb), options_(options), builder_(mb, backend) {}
+                                   std::span<const uint32_t> query_owner)
+    : mb_(&mb), options_(options), builder_(mb, query_owner) {}
 
 std::vector<bool> ExcludedCandidates(const CompactRepresentation& rep,
                                      StringId input,
@@ -232,6 +232,7 @@ StatusOr<DiversificationOutput> PqsdaDiversifier::DiversifyWith(
     by_score.resize(want);
     out.relevance = std::move(f);
     out.compact_queries = rep.queries;
+    out.components_read = build_stats.components_read;
     out.candidates.reserve(by_score.size());
     for (const auto& [score, i] : by_score) {
       out.candidates.push_back(
@@ -314,6 +315,7 @@ StatusOr<DiversificationOutput> PqsdaDiversifier::DiversifyWith(
 
     out.relevance = f;
     out.compact_queries = rep.queries;
+    out.components_read = build_stats.components_read;
     if (by_relevance.empty()) {
       // Legitimate empty answer (every compact query excluded). Stats and
       // annotations must reflect this run, not a previous one.

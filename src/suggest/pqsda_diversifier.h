@@ -1,6 +1,8 @@
 #ifndef PQSDA_SUGGEST_PQSDA_DIVERSIFIER_H_
 #define PQSDA_SUGGEST_PQSDA_DIVERSIFIER_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,6 +55,9 @@ struct DiversificationOutput {
   std::vector<double> relevance;
   /// Global query ids of the compact representation rows.
   std::vector<StringId> compact_queries;
+  /// CompactBuildStats::components_read of the expansion (0 without an
+  /// owner map).
+  uint64_t components_read = 0;
 };
 
 /// The diversification component of PQS-DA (§IV): compact multi-bipartite
@@ -61,14 +66,12 @@ struct DiversificationOutput {
 /// cross-bipartite hitting time to the already-selected set (Algorithm 1).
 class PqsdaDiversifier : public SuggestionEngine {
  public:
-  /// `backend`, when non-null, owns every row read of the §IV-A expansion
-  /// (see CompactWalkBackend) — the sharded coordinator constructs one
-  /// per-request diversifier around its scatter-gather backend, and the
-  /// solve/selection/personalization stages then run unchanged on the
-  /// merged compact representation. Null is the local (unsharded) path.
+  /// `query_owner`, when non-empty, is the component map the §IV-A
+  /// expansion reports its reads against (DiversificationOutput::
+  /// components_read; see CompactBuilder). It must outlive the diversifier.
   explicit PqsdaDiversifier(const MultiBipartite& mb,
                             PqsdaDiversifierOptions options = {},
-                            const CompactWalkBackend* backend = nullptr);
+                            std::span<const uint32_t> query_owner = {});
 
   std::string name() const override { return "PQS-DA"; }
 

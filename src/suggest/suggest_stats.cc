@@ -32,23 +32,6 @@ std::string SuggestStats::Render() const {
                 degradation_rung < 4 ? kRungNames[degradation_rung] : "?",
                 shed ? ", SHED" : "");
   out += buf;
-  if (!shard_rungs.empty()) {
-    std::snprintf(buf, sizeof(buf), "shards: %zu touched of %zu%s [",
-                  shards_touched, shard_rungs.size(),
-                  partial_merge ? ", PARTIAL MERGE" : "");
-    out += buf;
-    static const char* kShardRungNames[] = {"full", "degraded", "deadline"};
-    for (size_t s = 0; s < shard_rungs.size(); ++s) {
-      if (s > 0) out += ' ';
-      out += std::to_string(s);
-      out += ':';
-      out += shard_rungs[s] == kShardUntouched
-                 ? "-"
-                 : (shard_rungs[s] < 3 ? kShardRungNames[shard_rungs[s]]
-                                       : "?");
-    }
-    out += "]\n";
-  }
   return out;
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "graph/compact_builder.h"
 #include "obs/trace.h"
@@ -47,31 +46,6 @@ struct SuggestStats {
   /// True when the NotFound was answered by the negative-result cache — the
   /// engine never touched the index for this request.
   bool negative_cache_hit = false;
-
-  /// Per-shard serving rung of a scatter-gather request (one slot per
-  /// shard, ShardedEngine only; empty on the unsharded engine). kShardFull:
-  /// the shard served every row asked of it. kShardDegraded: its admission
-  /// gate refused, so only its hot replicated rows were served.
-  /// kShardDeadline: the request's remaining deadline budget had fallen
-  /// below ShardedEngineOptions::fetch_budget_floor_us (or the deadline had
-  /// passed) when the shard was first touched, so the fetch was refused and
-  /// cold rows dropped from then on; tests can also force it per shard via
-  /// faults::kShardDeadlineShard. kShardUntouched: the request never needed
-  /// the shard.
-  static constexpr uint8_t kShardFull = 0;
-  static constexpr uint8_t kShardDegraded = 1;
-  static constexpr uint8_t kShardDeadline = 2;
-  static constexpr uint8_t kShardUntouched = 255;
-  std::vector<uint8_t> shard_rungs;
-  /// Shards the request actually read rows from (or tried to).
-  size_t shards_touched = 0;
-  /// True when any touched shard served degraded — the merged pool is
-  /// missing that shard's cold contributions. A partial merge is served
-  /// (degrading one shard must not fail the request) but never silently:
-  /// this flag, the per-shard rungs above and the
-  /// pqsda.sharded.partial_merges_total counter all record it, and the
-  /// result is never cached.
-  bool partial_merge = false;
 
   int64_t total_us() const { return trace.duration_us(); }
 

@@ -28,7 +28,7 @@ struct SuggestionCacheOptions {
   /// Replacement policy of each shard (see CachePolicyKind). LRU is the
   /// baseline; ARC/CAR adapt against scan pollution.
   CachePolicyKind policy = CachePolicyKind::kLru;
-  /// Instance name on /statusz ("suggest", "sharded", ...).
+  /// Instance name on /statusz ("suggest", ...).
   std::string name = "suggest";
 };
 

@@ -838,6 +838,57 @@ TEST(CacheValidationTest, TriStateContract) {
   EXPECT_TRUE(cache.Lookup("keyed", &out, ValidatorFor(999)));
 }
 
+// The engine's validator grades each recorded component against the
+// generation the reader's snapshot serves for it: the validation
+// partition's per-component generations, and the UPM's for kUpmComponent.
+TEST(CacheValidationTest, EngineValidatorGradesComponentGenerations) {
+  using Vector = SuggestionCache::ValidationVector;
+  IndexSnapshot snap;
+  snap.validation_generation = {3, 3, 5, 3, 3, 3, 3, 3};
+  snap.upm_generation = 4;
+
+  // Valid: every component (and the UPM) at the snapshot's generation.
+  EXPECT_EQ(
+      ValidateCacheEntry(snap, Vector{{0, 3}, {2, 5}, {kUpmComponent, 4}}),
+      CacheValidity::kValid);
+
+  // Stale: a component or the UPM rebuilt since the fill, or a component
+  // this snapshot does not know.
+  EXPECT_EQ(ValidateCacheEntry(snap, Vector{{0, 3}, {2, 4}}),
+            CacheValidity::kStale);
+  EXPECT_EQ(ValidateCacheEntry(snap, Vector{{0, 3}, {kUpmComponent, 3}}),
+            CacheValidity::kStale);
+  EXPECT_EQ(ValidateCacheEntry(snap, Vector{{8, 3}}), CacheValidity::kStale);
+
+  // Mismatch: filled against a generation newer than the reader's, for a
+  // component or the UPM — even when another component reads as stale.
+  EXPECT_EQ(ValidateCacheEntry(snap, Vector{{2, 6}}),
+            CacheValidity::kMismatch);
+  EXPECT_EQ(ValidateCacheEntry(snap, Vector{{kUpmComponent, 5}}),
+            CacheValidity::kMismatch);
+  EXPECT_EQ(ValidateCacheEntry(snap, Vector{{0, 2}, {2, 6}}),
+            CacheValidity::kMismatch);
+
+  // ... and a mismatched entry stays for readers of the newer generation.
+  IndexSnapshot next;
+  next.validation_generation = {3, 3, 6, 3, 3, 3, 3, 3};
+  next.upm_generation = 5;
+  auto graded_by = [](const IndexSnapshot& reader) {
+    return [&reader](const Vector& components) {
+      return ValidateCacheEntry(reader, components);
+    };
+  };
+  SuggestionCacheOptions options;
+  options.capacity = 8;
+  options.shards = 1;
+  options.name = "engine_validation";
+  SuggestionCache cache(options);
+  std::vector<Suggestion> out;
+  cache.Insert("ahead", ListFor("ahead"), {{2, 6}, {kUpmComponent, 5}});
+  EXPECT_FALSE(cache.Lookup("ahead", &out, graded_by(snap)));
+  EXPECT_TRUE(cache.Lookup("ahead", &out, graded_by(next)));
+}
+
 TEST(CacheValidationTest, NegativeCacheTriStateAndBound) {
   NegativeSuggestionCache cache(/*capacity=*/4);
 

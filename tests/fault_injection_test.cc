@@ -30,10 +30,8 @@
 #include "common/thread_pool.h"
 #include "core/admission.h"
 #include "core/pqsda_engine.h"
-#include "core/sharded_engine.h"
 #include "obs/metrics.h"
 #include "obs/request_log.h"
-#include "obs/sliding_window.h"
 #include "obs/telemetry.h"
 #include "solver/linear_solvers.h"
 
@@ -669,364 +667,35 @@ TEST_F(FaultInjectionTest, DeadlineStormUnderBatchStaysWellFormed) {
   }
 }
 
-// --------------------------------------- per-shard fault matrix ----
+// ------------------------------------------- admission signals ----
 
-// The sharded scatter-gather coordinator under per-shard faults: one shard
-// past its fetch deadline, one shard shedding, one shard mid-swap. The
-// invariants: only the affected shard degrades (every other touched shard
-// stays kShardFull), a partial merge is always loud (SuggestStats rungs +
-// partial_merge + counters, never a cache fill), and a mid-swap holdback
-// serves the *whole* previous build, not a mixed view.
-
-std::unique_ptr<ShardedEngine> BuildShardedFaultEngine(
-    size_t cache_capacity = 0) {
-  PqsdaEngineConfig config;
-  config.personalize = false;
-  config.cache_capacity = cache_capacity;
-  ShardedEngineOptions options;
-  options.shards = 4;
-  options.hot_row_min_degree = 0;  // strict ownership: faults must bite
-  auto built = ShardedEngine::Build(FaultLog(), config, options);
-  EXPECT_TRUE(built.ok());
-  return std::move(built).value();
-}
-
-// A probe whose expansion crosses shards, plus one touched non-primary
-// shard to play the victim. The 14-record log is one connected cluster, so
-// such a probe always exists at 4 shards with strict ownership.
-struct ShardedProbe {
-  SuggestionRequest request;
-  size_t victim = 0;
-};
-
-ShardedProbe FindCrossShardProbe(const ShardedEngine& engine) {
-  const char* queries[] = {"sun",          "sun java",     "solar energy",
-                           "solar system", "java download", "sun daily uk"};
-  for (const char* q : queries) {
-    SuggestStats stats;
-    auto result = engine.Suggest(FaultRequest(q), 5, &stats);
-    if (!result.ok() || stats.shards_touched < 2) continue;
-    const size_t primary = engine.router().QueryShardOf(q);
-    for (size_t s = 0; s < stats.shard_rungs.size(); ++s) {
-      if (s != primary && stats.shard_rungs[s] == SuggestStats::kShardFull) {
-        return {FaultRequest(q), s};
-      }
-    }
-  }
-  ADD_FAILURE() << "no cross-shard probe found";
-  return {FaultRequest("sun"), 1};
-}
-
-TEST_F(FaultInjectionTest, ShardDeadlineDegradesOnlyThatShard) {
-  auto engine = BuildShardedFaultEngine();
-  const ShardedProbe probe = FindCrossShardProbe(*engine);
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  obs::Counter& deadline_total = reg.GetCounter(
-      "pqsda.shard." + std::to_string(probe.victim) + ".deadline_total");
-  obs::Counter& partial_total =
-      reg.GetCounter("pqsda.sharded.partial_merges_total");
-  const uint64_t deadline0 = deadline_total.Value();
-  const uint64_t partial0 = partial_total.Value();
-
-  FaultInjector::Default().SetValue(faults::kShardDeadlineShard,
-                                    static_cast<int64_t>(probe.victim));
-  SuggestStats stats;
-  auto result = engine->Suggest(probe.request, 5, &stats);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  // Loud, and surgical: the victim carries kShardDeadline, everyone else
-  // is untouched-or-full, the request-level rung is still kFull.
-  EXPECT_TRUE(stats.partial_merge);
-  EXPECT_EQ(stats.degradation_rung, 0u);
-  EXPECT_EQ(stats.shard_rungs[probe.victim], SuggestStats::kShardDeadline);
-  for (size_t s = 0; s < stats.shard_rungs.size(); ++s) {
-    if (s == probe.victim) continue;
-    EXPECT_TRUE(stats.shard_rungs[s] == SuggestStats::kShardFull ||
-                stats.shard_rungs[s] == SuggestStats::kShardUntouched)
-        << "shard " << s;
-  }
-  EXPECT_EQ(deadline_total.Value(), deadline0 + 1);
-  EXPECT_EQ(partial_total.Value(), partial0 + 1);
-}
-
-TEST_F(FaultInjectionTest, ShardShedDegradesOnlyThatShard) {
-  auto engine = BuildShardedFaultEngine();
-  const ShardedProbe probe = FindCrossShardProbe(*engine);
-  obs::Counter& degraded_total = obs::MetricsRegistry::Default().GetCounter(
-      "pqsda.shard." + std::to_string(probe.victim) + ".degraded_total");
-  const uint64_t degraded0 = degraded_total.Value();
-
-  FaultInjector::Default().SetValue(faults::kShardShedShard,
-                                    static_cast<int64_t>(probe.victim));
-  SuggestStats stats;
-  auto result = engine->Suggest(probe.request, 5, &stats);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(stats.partial_merge);
-  EXPECT_EQ(stats.shard_rungs[probe.victim], SuggestStats::kShardDegraded);
-  EXPECT_EQ(degraded_total.Value(), degraded0 + 1);
-
-  // With the fault cleared the same request merges fully again.
-  FaultInjector::Default().Reset();
-  SuggestStats clean;
-  ASSERT_TRUE(engine->Suggest(probe.request, 5, &clean).ok());
-  EXPECT_FALSE(clean.partial_merge);
-}
-
-TEST_F(FaultInjectionTest, ShardPartialMergeIsNeverCached) {
-  auto engine = BuildShardedFaultEngine(/*cache_capacity=*/16);
-  // Probe discovery serves requests — run it on a cache-less twin (same
-  // records, same partition geometry) so this engine's cache stays cold.
-  const ShardedProbe probe = FindCrossShardProbe(*BuildShardedFaultEngine());
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  obs::Counter& hits = reg.GetCounter("pqsda.cache.hits_total");
-  obs::Counter& misses = reg.GetCounter("pqsda.cache.misses_total");
-
-  // Partial serve on a cold key: computed, served loudly, NOT stored.
-  FaultInjector::Default().SetValue(faults::kShardShedShard,
-                                    static_cast<int64_t>(probe.victim));
-  const uint64_t hits0 = hits.Value();
-  const uint64_t misses0 = misses.Value();
-  SuggestStats stats;
-  auto partial = engine->Suggest(probe.request, 5, &stats);
-  ASSERT_TRUE(partial.ok());
-  ASSERT_TRUE(stats.partial_merge);
-  EXPECT_EQ(misses.Value(), misses0 + 1);
-
-  // Fault cleared: the same key must MISS (nothing was cached) and the
-  // full merge then fills the cache for the third call.
-  FaultInjector::Default().Reset();
-  SuggestStats full;
-  ASSERT_TRUE(engine->Suggest(probe.request, 5, &full).ok());
-  EXPECT_FALSE(full.partial_merge);
-  EXPECT_EQ(misses.Value(), misses0 + 2);
-  EXPECT_EQ(hits.Value(), hits0);
-  ASSERT_TRUE(engine->Suggest(probe.request, 5).ok());
-  EXPECT_EQ(hits.Value(), hits0 + 1);
-}
-
-TEST_F(FaultInjectionTest, ShardAdmissionShedsAtPrimaryGateWithCleanStats) {
-  PqsdaEngineConfig config;
-  config.personalize = false;
-  ShardedEngineOptions options;
-  options.shards = 4;
-  options.shard_queue_depth = 4;  // enable the per-shard queue gate
-  auto built = ShardedEngine::Build(FaultLog(), config, options);
-  ASSERT_TRUE(built.ok());
-  auto& engine = *built;
-
-  const SuggestionRequest request = FaultRequest("sun");
-  const size_t primary = engine->router().QueryShardOf(request.query);
-  obs::Counter& shed_total = obs::MetricsRegistry::Default().GetCounter(
-      "pqsda.shard." + std::to_string(primary) + ".shed_total");
-  const uint64_t shed0 = shed_total.Value();
-
-  // Overload exactly the primary shard's scoped queue-depth point: the
-  // request sheds at its gate; a query homed on any other shard still
-  // serves.
-  FaultInjector::Default().SetValue(
-      "shard." + std::to_string(primary) + ".queue_depth", 100);
-  SuggestStats stats = PoisonedStats();
-  auto shed = engine->Suggest(request, 5, &stats);
-  ASSERT_FALSE(shed.ok());
-  EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
-  EXPECT_TRUE(stats.shed);
-  ExpectStatsReset(stats);
-  EXPECT_EQ(shed_total.Value(), shed0 + 1);
-
-  for (const char* q :
-       {"sun java", "solar energy", "solar system", "uk news"}) {
-    if (engine->router().QueryShardOf(q) == primary) continue;
-    EXPECT_TRUE(engine->Suggest(FaultRequest(q), 5).ok()) << q;
-    break;
-  }
-}
-
-// The p95 gate's live signal must be scoped to the controller's own
-// latency window when one is wired — a per-shard gate reading process-wide
-// latency would trip on every shard the moment one shard is slow.
+// The p95 gate reads the serving telemetry's windowed latency: a slow
+// window sheds, a fast one admits.
 TEST_F(FaultInjectionTest, AdmissionGatesOnItsOwnLatencyWindow) {
-  obs::SlidingWindowHistogram slow;
-  obs::SlidingWindowHistogram fast;
-  for (int i = 0; i < 64; ++i) slow.Record(400'000.0);
-  for (int i = 0; i < 64; ++i) fast.Record(1'000.0);
-
   AdmissionOptions options;
   options.max_p95_us = 50'000.0;
-  options.latency = &slow;
-  AdmissionController overloaded(options);
-  EXPECT_EQ(overloaded.Admit().code(), StatusCode::kUnavailable);
-
-  options.latency = &fast;
-  AdmissionController healthy(options);
-  EXPECT_TRUE(healthy.Admit().ok());
-}
-
-// Single-request serving executes on the calling thread and never enqueues
-// on a lane, so the depth gate counts the wired in-flight counter on top of
-// the pool's queue depth.
-TEST_F(FaultInjectionTest, AdmissionCountsInflightRequestsInTheDepthGate) {
-  ThreadPool pool(1);  // idle: queue depth 0
-  std::atomic<uint64_t> inflight{0};
-  AdmissionOptions options;
-  options.max_queue_depth = 2;
-  options.pool = &pool;
-  options.inflight = &inflight;
   AdmissionController gate(options);
 
-  EXPECT_TRUE(gate.Admit().ok());
-  inflight.store(3, std::memory_order_relaxed);
+  obs::ServingTelemetry& slow = obs::ServingTelemetry::Install({});
+  for (int i = 0; i < 64; ++i) slow.latency().Record(400'000.0);
   EXPECT_EQ(gate.Admit().code(), StatusCode::kUnavailable);
-  inflight.store(2, std::memory_order_relaxed);  // at the limit, not over
+
+  obs::ServingTelemetry& fast = obs::ServingTelemetry::Install({});
+  for (int i = 0; i < 64; ++i) fast.latency().Record(1'000.0);
   EXPECT_TRUE(gate.Admit().ok());
-}
-
-// Regression: configuring shard_p95_us must scope each shard's live signal
-// to that shard's own latency window. Poison the *global* serving-telemetry
-// histogram with a storm of slow samples; every shard gate must keep
-// admitting (the old behavior — reading the global percentile — shed every
-// request on every shard, so one slow shard degraded the whole engine).
-TEST_F(FaultInjectionTest, ShardP95GateReadsPerShardWindowNotGlobalLatency) {
-  obs::ServingTelemetry& poisoned = obs::ServingTelemetry::Install({});
-  for (int i = 0; i < 256; ++i) poisoned.latency().Record(5'000'000.0);
-
-  PqsdaEngineConfig config;
-  config.personalize = false;
-  ShardedEngineOptions options;
-  options.shards = 4;
-  options.hot_row_min_degree = 0;
-  options.shard_p95_us = 1'000'000.0;  // global window reads 5x this
-  auto built = ShardedEngine::Build(FaultLog(), config, options);
-  ASSERT_TRUE(built.ok());
-
-  SuggestStats stats = PoisonedStats();
-  auto result = (*built)->Suggest(FaultRequest("sun"), 5, &stats);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(stats.shed);
-  // Cross-shard fetches pass their gates too: no shard refused.
-  EXPECT_FALSE(stats.partial_merge);
 
   // Leave a clean global surface for the rest of the suite.
   obs::ServingTelemetry::Install({});
 }
 
-// The real per-fetch deadline floor (no injector override): a request whose
-// remaining budget has collapsed below fetch_budget_floor_us by the time
-// the expansion first touches a non-primary shard gets that shard
-// classified kShardDeadline — the fetch is refused and cold rows drop,
-// loudly — while the request itself still completes: the budget has not
-// expired, it is merely too thin to pay for remote reads.
-TEST_F(FaultInjectionTest, BudgetCollapseMidRequestRefusesFetchesLoudly) {
-  FaultInjector& injector = FaultInjector::Default();
-  injector.SetClock(0);
-
-  PqsdaEngineConfig config;
-  config.personalize = false;
-  // Budget rungs off: any remaining budget > 0 keeps the full pipeline, so
-  // the degradation below is attributable to the fetch floor alone.
-  config.robustness.truncated_below_us = 0;
-  config.robustness.walk_only_below_us = 0;
-  config.robustness.cache_only_below_us = 0;
-  ShardedEngineOptions options;
-  options.shards = 4;
-  options.hot_row_min_degree = 0;
-  options.fetch_budget_floor_us = 2'000.0;
-  auto built = ShardedEngine::Build(FaultLog(), config, options);
-  ASSERT_TRUE(built.ok());
-  auto& engine = *built;
-  const ShardedProbe probe = FindCrossShardProbe(*engine);
-
-  obs::Counter& partial_total = obs::MetricsRegistry::Default().GetCounter(
-      "pqsda.sharded.partial_merges_total");
-  const uint64_t partial0 = partial_total.Value();
-
-  CancelToken token(injector.ClockFn());
-  token.SetDeadlineAfter(1 * kMs);  // 1ms remaining: under the 2ms floor
-  SuggestionRequest request = probe.request;
-  request.cancel = &token;
-  SuggestStats stats;
-  auto result = engine->Suggest(request, 5, &stats);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  EXPECT_EQ(stats.degradation_rung, 0u);
-  EXPECT_TRUE(stats.partial_merge);
-  size_t deadline_shards = 0;
-  for (size_t s = 0; s < stats.shard_rungs.size(); ++s) {
-    EXPECT_NE(stats.shard_rungs[s], SuggestStats::kShardDegraded)
-        << "shard " << s;
-    if (stats.shard_rungs[s] == SuggestStats::kShardDeadline) {
-      ++deadline_shards;
-    }
-  }
-  EXPECT_GT(deadline_shards, 0u);
-  EXPECT_EQ(partial_total.Value(), partial0 + 1);
-
-  // With a budget comfortably above the floor the same probe merges fully.
-  CancelToken roomy(injector.ClockFn());
-  roomy.SetDeadlineAfter(10 * kSec);
-  request.cancel = &roomy;
-  SuggestStats clean;
-  ASSERT_TRUE(engine->Suggest(request, 5, &clean).ok());
-  EXPECT_FALSE(clean.partial_merge);
-}
-
-TEST_F(FaultInjectionTest, ShardHoldbackMidSwapServesOldBuildConsistently) {
-  auto engine = BuildShardedFaultEngine();
-  const SuggestionRequest request = FaultRequest("sun");
-  auto before = engine->Suggest(request, 5);
-  ASSERT_TRUE(before.ok());
-
-  // Shard 2 stalls mid-swap across the rebuild. Requests must keep serving
-  // the previous build whole — bitwise the pre-rebuild list, no partial
-  // merge, no error.
-  FaultInjector::Default().SetValue(faults::kShardSwapHoldback, 2);
-  std::vector<QueryLogRecord> delta = {{7, "sun", "www.nasa.gov", 500},
-                                       {7, "sun spots", "www.nasa.gov", 520},
-                                       {8, "sun spots", "www.nasa.gov", 510}};
-  for (const auto& record : delta) {
-    ASSERT_TRUE(engine->Ingest(record).ok());
-  }
-  ASSERT_TRUE(engine->RebuildNow().ok());
-  EXPECT_GE(FaultInjector::Default().Hits(faults::kShardSwap), 4u);
-
-  SuggestStats stats;
-  auto held = engine->Suggest(request, 5, &stats);
-  ASSERT_TRUE(held.ok());
-  EXPECT_FALSE(stats.partial_merge);
-  ASSERT_EQ(before->size(), held->size());
-  for (size_t i = 0; i < before->size(); ++i) {
-    EXPECT_EQ((*before)[i].query, (*held)[i].query);
-    EXPECT_EQ((*before)[i].score, (*held)[i].score);
-  }
-
-  // Swap completes: the engine serves what a fresh build over the grown
-  // log serves.
-  FaultInjector::Default().Reset();
-  engine->SyncShards();
-  auto grown = FaultLog();
-  grown.insert(grown.end(), delta.begin(), delta.end());
-  PqsdaEngineConfig config;
-  config.personalize = false;
-  auto reference = PqsdaEngine::Build(std::move(grown), config);
-  ASSERT_TRUE(reference.ok());
-  auto expected = (*reference)->Suggest(request, 5);
-  ASSERT_TRUE(expected.ok());
-  auto after = engine->Suggest(request, 5);
-  ASSERT_TRUE(after.ok());
-  ASSERT_EQ(expected->size(), after->size());
-  for (size_t i = 0; i < expected->size(); ++i) {
-    EXPECT_EQ((*expected)[i].query, (*after)[i].query);
-    EXPECT_EQ((*expected)[i].score, (*after)[i].score);
-  }
-}
-
-// Regression for the mid-swap invalidation bug: the post-swap warmup fills
-// entries stamped with the INCOMING build's component generations while a
-// held-back shard keeps the served consistent cut on the outgoing build.
-// The hit path used to grade such an entry against the outgoing cut as
+// Regression for the mid-swap invalidation bug: a post-swap warmup fills
+// entries stamped with the INCOMING generation's component generations
+// while a reader that pinned the outgoing snapshot is still in flight. The
+// hit path used to grade such an entry against the outgoing snapshot as
 // "stale" and erase it — destroying exactly the entries the warmup just
-// paid for, for the benefit of nobody. The tri-state validator must miss
+// paid for, for the benefit of nobody. The engine's validator must miss
 // WITHOUT invalidating (a mismatch, not a staleness), and the entry must
-// serve the first reader of the completed swap straight from cache.
+// serve the first reader of the new generation straight from cache.
 //
 // Every client request runs at the cache-only rung (min_rung = 3) so the
 // probes themselves can neither fill nor overwrite entries — the only
@@ -1050,12 +719,9 @@ TEST_F(FaultInjectionTest, MidSwapWarmupEntrySurvivesForIncomingReaders) {
   config.robustness.min_rung = 3;  // clients only ever read the cache
   config.cache_warmup.log_path = log_path;
   config.cache_warmup.max_requests = 8;
-  ShardedEngineOptions options;
-  options.shards = 4;
-  options.hot_row_min_degree = 0;
-  auto built = ShardedEngine::Build(FaultLog(), config, options);
+  auto built = PqsdaEngine::Build(FaultLog(), config);
   ASSERT_TRUE(built.ok());
-  std::unique_ptr<ShardedEngine> engine = std::move(built).value();
+  std::unique_ptr<PqsdaEngine> engine = std::move(built).value();
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   obs::Counter& mismatches =
@@ -1069,29 +735,31 @@ TEST_F(FaultInjectionTest, MidSwapWarmupEntrySurvivesForIncomingReaders) {
   EXPECT_EQ(engine->Suggest(FaultRequest("sun"), 5).status().code(),
             StatusCode::kNotFound);
 
-  // Shard 1 stalls mid-swap; the rebuild publishes anyway and the warmup
-  // fills "sun" under the incoming build on the rebuild thread.
-  FaultInjector::Default().SetValue(faults::kShardSwapHoldback, 1);
+  // A reader pins the outgoing snapshot; the rebuild then publishes and
+  // the warmup fills "sun" under the incoming generation.
+  const std::shared_ptr<const IndexSnapshot> outgoing = engine->AcquireIndex();
   const uint64_t filled0 = filled.Value();
   ASSERT_TRUE(engine->Ingest({7, "sun", "www.nasa.gov", 500}).ok());
-  ASSERT_TRUE(engine->RebuildNow().ok());
+  ASSERT_TRUE(engine->index_manager().RebuildNow().ok());
   EXPECT_EQ(filled.Value(), filled0 + 1);
 
-  // The held engine still serves the outgoing cut: the warm entry's
-  // generations run AHEAD of it, so the probe misses as a mismatch — and
-  // must not invalidate the entry.
+  // The outgoing reader's lookup: the warm entry's generations run AHEAD
+  // of its snapshot, so it misses as a mismatch — and must not invalidate
+  // the entry.
   const uint64_t mismatch0 = mismatches.Value();
   const uint64_t stale0 = stales.Value();
-  EXPECT_EQ(engine->Suggest(FaultRequest("sun"), 5).status().code(),
-            StatusCode::kNotFound);
+  std::vector<Suggestion> cached;
+  EXPECT_FALSE(engine->cache()->Lookup(
+      SuggestionCache::KeyOf(FaultRequest("sun"), 5), &cached,
+      [&outgoing](const SuggestionCache::ValidationVector& components) {
+        return ValidateCacheEntry(*outgoing, components);
+      }));
   EXPECT_EQ(mismatches.Value(), mismatch0 + 1);
   EXPECT_EQ(stales.Value(), stale0);
 
-  // Swap completes: the retained entry serves the first post-swap reader
-  // from cache at the cache-only rung. (The pre-fix code erased it above
-  // and this request came back NotFound.)
-  FaultInjector::Default().Reset();
-  engine->SyncShards();
+  // The retained entry serves the first reader of the new generation from
+  // cache at the cache-only rung. (The pre-fix code erased it above and
+  // this request came back NotFound.)
   const uint64_t hits0 = hits.Value();
   auto served = engine->Suggest(FaultRequest("sun"), 5);
   ASSERT_TRUE(served.ok()) << served.status().ToString();

@@ -18,35 +18,43 @@
 #include "eval/report.h"
 #include "eval/synthetic_adapters.h"
 #include "obs/metrics.h"
+#include "obs/stage_profiler.h"
 #include "suggest/concept_suggester.h"
 #include "suggest/dqs_suggester.h"
 #include "suggest/hitting_time_suggester.h"
 #include "suggest/pqsda_diversifier.h"
 #include "suggest/random_walk_suggester.h"
-#include "suggest/suggest_stats.h"
 
 namespace pqsda::bench {
 namespace {
 
-// PQSDA_STATS=1 mode: re-runs the PQS-DA requests with stats collection on,
-// feeding each stage's span duration into a cell-local registry, and prints
-// the registry as JSON — the per-stage breakdown behind the Fig. 7 totals.
+// PQSDA_STATS=1 mode: re-runs the PQS-DA requests, each bracketed by the
+// stage profiler, feeding each stage's wall time into a cell-local registry,
+// and prints the registry as JSON — the per-stage breakdown behind the
+// Fig. 7 totals, in the stage names /profilez uses.
 void EmitStageBreakdown(const PqsdaDiversifier& pqsda,
                         const std::vector<TestQuery>& tests, size_t users) {
   obs::MetricsRegistry registry;
   obs::Histogram& total = registry.GetHistogram("pqsda.suggest.latency_us");
+  obs::StageProfiler& profiler = obs::StageProfiler::Default();
   for (const TestQuery& t : tests) {
-    SuggestStats st;
-    auto out = pqsda.Diversify(t.request, 10, &st);
+    obs::StageCosts costs;
+    profiler.BeginRequest();
+    auto out = pqsda.Diversify(t.request, 10);
+    profiler.EndRequest(/*rung=*/0, &costs);
     if (!out.ok()) continue;
-    total.Observe(static_cast<double>(st.trace.duration_us()));
-    for (const char* stage :
-         {"expansion", "regularization_solve", "hitting_time_selection"}) {
-      if (const obs::SpanNode* span = st.trace.Find(stage)) {
-        registry
-            .GetHistogram(std::string("pqsda.suggest.stage.") + stage + "_us")
-            .Observe(static_cast<double>(span->duration_us()));
-      }
+    auto us = [&costs](obs::ProfileStage stage) {
+      return static_cast<double>(costs[static_cast<size_t>(stage)].wall_ns) *
+             1e-3;
+    };
+    total.Observe(us(obs::ProfileStage::kRequest));
+    for (obs::ProfileStage stage :
+         {obs::ProfileStage::kExpansion, obs::ProfileStage::kSolve,
+          obs::ProfileStage::kSelection}) {
+      registry
+          .GetHistogram(std::string("pqsda.suggest.stage.") +
+                        obs::ProfileStageName(stage) + "_us")
+          .Observe(us(stage));
     }
   }
   std::printf("  stats users=%zu %s\n", users,

@@ -28,10 +28,10 @@
 //                              # generation and verify the result bitwise
 //   > quit
 //
-// With --stats every answer is followed by the request's stage trace and
-// work counters (SuggestStats::Render()) plus the *delta* of the process
-// metrics registry across the request — what this one request recorded,
-// not the session's cumulative totals.
+// With --stats every answer is followed by the request's stage times (the
+// /profilez stage names) and work counters (SuggestStats::Render()) plus
+// the *delta* of the process metrics registry across the request — what
+// this one request recorded, not the session's cumulative totals.
 // With --cache=N served lists are kept in an N-entry result cache;
 // repeated requests are answered from it (watch pqsda.cache.hits_total in
 // 'metrics').

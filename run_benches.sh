@@ -8,57 +8,39 @@ B=build/bench
 run() { echo "===== $* ====="; env "${@:2}" timeout 1200 "$B/$1"; echo; }
 
 # Verify step: race-check the concurrent layers — the observability layer
-# (thread-local span stacks, atomic counters), the serving layer
-# (ThreadPool, SuggestBatch, the sharded result cache), the live telemetry
-# surface (sliding windows, the HTTP exporter, the request log), the
-# overload-hardening path (CancelToken, FaultInjector, the degradation
-# ladder under a mid-flight cancellation storm), the live-ingestion path
-# (snapshot publication/reclaim racing in-flight requests), the stage
-# profiler (thread-local accumulators folding into the shared epoch ring),
-# the explain layer (thread-local sinks, the /explainz ring, replay
-# racing rebuilds), the delta-aware cache (validation partition, cache
-# policies and the staleness oracle under concurrent churn) — plus the
-# SIMD kernel dispatch (kernel_equivalence_test) — by running obs_test,
-# serving_test, telemetry_test, fault_injection_test, ingest_test,
-# profiler_test, explain_test, shard_partition_test, cache_policy_test and
-# kernel_equivalence_test under ThreadSanitizer before spending 20 minutes
-# on figures. Skip with PQSDA_TSAN_VERIFY=0.
+# (atomic counters, thread-local stage accumulators, the request record), the
+# serving layer (ThreadPool, SuggestBatch, the sharded result cache), the
+# live telemetry surface (sliding windows, the HTTP exporter, the request
+# log), the overload-hardening path (CancelToken, FaultInjector, the
+# degradation ladder under a mid-flight cancellation storm), the
+# live-ingestion path (snapshot publication/reclaim racing in-flight
+# requests), the stage profiler (thread-local accumulators folding into the
+# shared epoch ring), the explain layer (thread-local sinks, the /explainz
+# ring, replay racing rebuilds), the delta-aware cache (validation
+# partition, cache policies and the staleness oracle under concurrent churn),
+# the engine's stats path (integration_test) and the SIMD kernel dispatch
+# (kernel_equivalence_test). The suites are the ctests labelled `sanitize`
+# (tests/CMakeLists.txt), run under ThreadSanitizer before spending 20
+# minutes on figures. Skip with PQSDA_TSAN_VERIFY=0.
 if [ "${PQSDA_TSAN_VERIFY:-1}" = "1" ]; then
-  echo "===== verify: obs + serving + telemetry + fault_injection + ingest + profiler + explain + shard_partition + cache_policy + kernel_equivalence tests under ThreadSanitizer ====="
+  echo "===== verify: ctest -L sanitize under ThreadSanitizer ====="
   cmake -B build-tsan -S . -DPQSDA_ENABLE_TSAN=ON >/dev/null &&
-    cmake --build build-tsan --target obs_test serving_test telemetry_test fault_injection_test ingest_test profiler_test explain_test shard_partition_test cache_policy_test kernel_equivalence_test -j >/dev/null &&
-    timeout 600 ./build-tsan/tests/obs_test &&
-    timeout 600 ./build-tsan/tests/serving_test &&
-    timeout 600 ./build-tsan/tests/telemetry_test &&
-    timeout 600 ./build-tsan/tests/fault_injection_test &&
-    timeout 600 ./build-tsan/tests/ingest_test &&
-    timeout 600 ./build-tsan/tests/profiler_test &&
-    timeout 600 ./build-tsan/tests/explain_test &&
-    timeout 600 ./build-tsan/tests/shard_partition_test &&
-    timeout 600 ./build-tsan/tests/cache_policy_test &&
-    timeout 600 ./build-tsan/tests/kernel_equivalence_test || {
+    cmake --build build-tsan --target sanitize_tests -j >/dev/null &&
+    (cd build-tsan && ctest -L sanitize --output-on-failure --timeout 600) || {
       echo "TSAN verify failed" >&2
       exit 1
     }
   echo
 fi
 
-# Lifetime half of the verify: AddressSanitizer (+UBSan) over the suites
-# that stress snapshot reclamation and the fault-injection request path — a
-# request serving out of generation g while g+1 swaps in must never touch
-# freed memory. Skip with PQSDA_ASAN_VERIFY=0.
+# Lifetime half of the verify: AddressSanitizer (+UBSan) over the same
+# `sanitize` suites — a request serving out of generation g while g+1 swaps
+# in must never touch freed memory. Skip with PQSDA_ASAN_VERIFY=0.
 if [ "${PQSDA_ASAN_VERIFY:-1}" = "1" ]; then
-  echo "===== verify: ingest + serving + fault_injection + profiler + explain + shard_partition + cache_policy + kernel_equivalence tests under AddressSanitizer ====="
+  echo "===== verify: ctest -L sanitize under AddressSanitizer ====="
   cmake -B build-asan -S . -DPQSDA_ENABLE_ASAN=ON >/dev/null &&
-    cmake --build build-asan --target ingest_test serving_test fault_injection_test profiler_test explain_test shard_partition_test cache_policy_test kernel_equivalence_test -j >/dev/null &&
-    timeout 600 ./build-asan/tests/ingest_test &&
-    timeout 600 ./build-asan/tests/serving_test &&
-    timeout 600 ./build-asan/tests/fault_injection_test &&
-    timeout 600 ./build-asan/tests/profiler_test &&
-    timeout 600 ./build-asan/tests/explain_test &&
-    timeout 600 ./build-asan/tests/shard_partition_test &&
-    timeout 600 ./build-asan/tests/cache_policy_test &&
-    timeout 600 ./build-asan/tests/kernel_equivalence_test || {
+    cmake --build build-asan --target sanitize_tests -j >/dev/null &&
+    (cd build-asan && ctest -L sanitize --output-on-failure --timeout 600) || {
       echo "ASan verify failed" >&2
       exit 1
     }

@@ -103,11 +103,6 @@ struct PqsdaEngineConfig {
   /// Weighted-Borda multiplicity of the preference ranking (see
   /// Personalizer).
   size_t preference_borda_weight = 2;
-  /// When false, Build skips the coarse registry instrumentation (stage
-  /// histograms and counters in obs::MetricsRegistry::Default()). Per-request
-  /// stats are independent of this flag: they are opted into per call by
-  /// passing a SuggestStats pointer to Suggest.
-  bool collect_metrics = true;
   /// Capacity (entries) of the suggestion result cache; 0 disables caching.
   /// Served lists are cached after personalization, keyed by
   /// (query, context-hash, user, k, index generation), so a hit is

@@ -6,7 +6,6 @@
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/stage_profiler.h"
-#include "obs/trace.h"
 
 namespace pqsda {
 
@@ -94,7 +93,6 @@ StatusOr<std::shared_ptr<IndexSnapshot>> BuildIndexSnapshot(
       reg.GetHistogram("pqsda.build.upm_train_us");
   static obs::Gauge& num_queries = reg.GetGauge("pqsda.build.queries");
   static obs::Gauge& num_sessions = reg.GetGauge("pqsda.build.sessions");
-  const bool metrics = config.collect_metrics;
 
   WallTimer build_timer;
   auto snap = std::make_shared<IndexSnapshot>();
@@ -105,23 +103,19 @@ StatusOr<std::shared_ptr<IndexSnapshot>> BuildIndexSnapshot(
   // the incremental-vs-batch equivalence.
   SortByUserAndTime(records);
   snap->records = std::move(records);
+  // Each phase's one StageScope feeds both the rebuild lane (when a rebuild
+  // bracket is armed) and the phase's pqsda.build.* histogram.
   {
-    obs::TraceSpan span("sessionize");
-    obs::StageScope stage(obs::ProfileStage::kSessionize);
-    obs::ScopedTimer timer(metrics ? &sessionize_us : nullptr);
+    obs::StageScope stage(obs::ProfileStage::kSessionize, &sessionize_us);
     snap->sessions = Sessionize(snap->records, config.sessionizer);
   }
   {
-    obs::TraceSpan span("representation");
-    obs::StageScope stage(obs::ProfileStage::kGraphBuild);
-    obs::ScopedTimer timer(metrics ? &representation_us : nullptr);
+    obs::StageScope stage(obs::ProfileStage::kGraphBuild, &representation_us);
     snap->mb = std::make_unique<MultiBipartite>(MultiBipartite::Build(
         snap->records, snap->sessions, config.weighting));
   }
   {
-    obs::TraceSpan span("corpus");
-    obs::StageScope stage(obs::ProfileStage::kGraphBuild);
-    obs::ScopedTimer timer(metrics ? &corpus_us : nullptr);
+    obs::StageScope stage(obs::ProfileStage::kGraphBuild, &corpus_us);
     snap->corpus = std::make_unique<QueryLogCorpus>(
         QueryLogCorpus::Build(snap->records, snap->sessions));
   }
@@ -144,38 +138,30 @@ StatusOr<std::shared_ptr<IndexSnapshot>> BuildIndexSnapshot(
       *snap->mb, config.diversifier, snap->validation.query_owner);
   snap->upm_generation = generation;
   if (config.personalize) {
-    obs::TraceSpan span("upm_train");
-    obs::StageScope stage(obs::ProfileStage::kGraphBuild);
-    obs::ScopedTimer timer(metrics ? &upm_train_us : nullptr);
+    obs::StageScope stage(obs::ProfileStage::kUpmTrain, &upm_train_us);
     // Tee Gibbs progress into the registry (sweep counter/latency and the
     // convergence gauge), then onward to any caller-supplied callback.
     UpmOptions upm_options = config.upm;
-    if (metrics) {
-      auto user_progress = upm_options.progress;
-      upm_options.progress = [user_progress](const GibbsSweepStats& s) {
-        obs::MetricsRegistry& r = obs::MetricsRegistry::Default();
-        static obs::Counter& sweeps = r.GetCounter("pqsda.upm.sweeps_total");
-        static obs::Histogram& sweep_us =
-            r.GetHistogram("pqsda.upm.sweep_us");
-        static obs::Gauge& log_posterior =
-            r.GetGauge("pqsda.upm.log_posterior");
-        sweeps.Increment();
-        sweep_us.Observe(static_cast<double>(s.duration_us));
-        log_posterior.Set(s.log_posterior);
-        if (user_progress) user_progress(s);
-      };
-    }
+    auto user_progress = upm_options.progress;
+    upm_options.progress = [user_progress](const GibbsSweepStats& s) {
+      obs::MetricsRegistry& r = obs::MetricsRegistry::Default();
+      static obs::Counter& sweeps = r.GetCounter("pqsda.upm.sweeps_total");
+      static obs::Histogram& sweep_us = r.GetHistogram("pqsda.upm.sweep_us");
+      static obs::Gauge& log_posterior = r.GetGauge("pqsda.upm.log_posterior");
+      sweeps.Increment();
+      sweep_us.Observe(static_cast<double>(s.duration_us));
+      log_posterior.Set(s.log_posterior);
+      if (user_progress) user_progress(s);
+    };
     snap->upm = std::make_unique<UpmModel>(upm_options);
     snap->upm->Train(*snap->corpus);
     snap->personalizer = std::make_unique<Personalizer>(
         *snap->upm, *snap->corpus, config.preference_borda_weight);
   }
   snap->build_us = build_timer.ElapsedMicros();
-  if (metrics) {
-    builds_total.Increment();
-    num_queries.Set(static_cast<double>(snap->mb->num_queries()));
-    num_sessions.Set(static_cast<double>(snap->sessions.size()));
-  }
+  builds_total.Increment();
+  num_queries.Set(static_cast<double>(snap->mb->num_queries()));
+  num_sessions.Set(static_cast<double>(snap->sessions.size()));
   return snap;
 }
 
@@ -310,8 +296,8 @@ Status IndexManager::RebuildWith(std::vector<QueryLogRecord> batch) {
   IngestMetrics& m = IngestMetrics::Get();
   const size_t batch_records = batch.size();
   // The rebuild runs entirely on this thread, so it profiles like a request
-  // under its own lane: drain/sessionize/graph-build/publish stages land in
-  // /profilez next to the serving rungs.
+  // under its own lane: drain/sessionize/graph-build/UPM/publish stages land
+  // in /profilez next to the serving rungs.
   obs::StageProfiler& profiler = obs::StageProfiler::Default();
   profiler.BeginRequest();
   std::vector<QueryLogRecord> all;
@@ -325,7 +311,6 @@ Status IndexManager::RebuildWith(std::vector<QueryLogRecord> batch) {
     // base drops here: don't pin the old generation across the build.
   }
 
-  WallTimer timer;
   auto snap_or = BuildIndexSnapshot(std::move(all), config_, next_generation_);
   if (!snap_or.ok()) {
     m.rebuild_failures_total.Increment();
@@ -333,18 +318,23 @@ Status IndexManager::RebuildWith(std::vector<QueryLogRecord> batch) {
     return snap_or.status();
   }
   ++next_generation_;
-  const int64_t rebuild_us = timer.ElapsedMicros();
-  m.rebuild_us.Observe(static_cast<double>(rebuild_us));
-  m.last_rebuild_us.Set(static_cast<double>(rebuild_us));
+  const double rebuild_us = static_cast<double>((*snap_or)->build_us);
+  m.rebuild_us.Observe(rebuild_us);
+  m.last_rebuild_us.Set(rebuild_us);
   m.rebuild_batch_records.Observe(static_cast<double>(batch_records));
-  Publish(std::move(*snap_or), batch_records);
+  std::shared_ptr<const IndexSnapshot> published =
+      Publish(std::move(*snap_or));
   profiler.EndRequest(obs::kProfileRebuildLane);
+  // Post-swap warmup (and any other observer) runs on the rebuild thread,
+  // outside every manager lock and after the rebuild bracket closed: its
+  // requests are not rebuild work. Serving traffic already sees the new
+  // generation while the warmup fills its cache off-path.
+  if (post_publish_hook_) post_publish_hook_(published);
   return Status::OK();
 }
 
-void IndexManager::Publish(std::shared_ptr<IndexSnapshot> next,
-                           size_t batch_records) {
-  (void)batch_records;
+std::shared_ptr<const IndexSnapshot> IndexManager::Publish(
+    std::shared_ptr<IndexSnapshot> next) {
   obs::StageScope stage(obs::ProfileStage::kPublish);
   next->published_ns = SteadyNowNs();
   IngestMetrics& m = IngestMetrics::Get();
@@ -397,10 +387,7 @@ void IndexManager::Publish(std::shared_ptr<IndexSnapshot> next,
     std::lock_guard<std::mutex> lock(delta_mu_);
     stream_.FlushAll();
   }
-  // Post-swap warmup (and any other observer) runs on the rebuild thread,
-  // outside every manager lock: serving traffic already sees the new
-  // generation while the warmup fills its cache off-path.
-  if (post_publish_hook_) post_publish_hook_(published);
+  return published;
 }
 
 void IndexManager::WaitForRebuilds() {

@@ -197,7 +197,8 @@ class IndexManager {
   const IngestOptions& ingest_options() const { return config_.ingest; }
 
   /// Hook invoked on the rebuild thread after every Publish, outside the
-  /// manager's locks, with the freshly-published snapshot. The engine uses
+  /// manager's locks and the rebuild's profiler bracket, with the
+  /// freshly-published snapshot. The engine uses
   /// it for post-swap cache warmup. Install before any rebuild can run
   /// (i.e. right after construction) — installation is not synchronized
   /// against concurrent rebuilds.
@@ -214,8 +215,10 @@ class IndexManager {
   /// One drain → build → publish cycle over `batch` (serialized by
   /// build_mu_).
   Status RebuildWith(std::vector<QueryLogRecord> batch);
-  /// Swaps `next` in as the published snapshot and updates metrics/tails.
-  void Publish(std::shared_ptr<IndexSnapshot> next, size_t batch_records);
+  /// Swaps `next` in as the published snapshot, updates metrics/tails, and
+  /// returns it.
+  std::shared_ptr<const IndexSnapshot> Publish(
+      std::shared_ptr<IndexSnapshot> next);
 
   PqsdaEngineConfig config_;
 

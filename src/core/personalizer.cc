@@ -4,9 +4,7 @@
 #include <unordered_map>
 
 #include "obs/explain.h"
-#include "obs/metrics.h"
 #include "obs/stage_profiler.h"
-#include "obs/trace.h"
 #include "rank/borda.h"
 
 namespace pqsda {
@@ -20,17 +18,9 @@ double Personalizer::PreferenceScore(UserId user,
 
 std::vector<Suggestion> Personalizer::Rerank(
     UserId user, const std::vector<Suggestion>& list) const {
-  static obs::Histogram& rerank_us = obs::MetricsRegistry::Default()
-      .GetHistogram("pqsda.suggest.personalization_us");
-  obs::TraceSpan span("personalization");
   obs::StageScope stage(obs::ProfileStage::kPersonalization);
-  obs::ScopedTimer timer(rerank_us);
   size_t doc = corpus_->DocumentOf(user);
-  if (doc == SIZE_MAX || list.empty()) {
-    span.Annotate("known_user", std::string("false"));
-    return list;
-  }
-  span.Annotate("candidates", static_cast<int64_t>(list.size()));
+  if (doc == SIZE_MAX || list.empty()) return list;
   std::vector<std::string> items;
   std::vector<double> prefs;
   items.reserve(list.size());

@@ -3,60 +3,19 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/fault_injector.h"
 #include "common/timer.h"
-#include "eval/diversity.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/request_log.h"
 #include "obs/stage_profiler.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 
 namespace pqsda {
 
 namespace {
-
-// The shared result fingerprint: FNV-1a 64 over each served query's bytes
-// and its score's bit pattern, in rank order. The request log, the explain
-// record and replay verification all agree on this definition.
-uint64_t FingerprintOf(const std::vector<Suggestion>& list) {
-  obs::Fingerprint64 fp;
-  for (const Suggestion& s : list) {
-    fp.Mix(s.query);
-    fp.MixDouble(s.score);
-  }
-  return fp.value();
-}
-
-// Remaps the pipeline-order attribution candidates onto the served list:
-// final_rank/score become the served position and Suggestion::score (the
-// §V-B rerank may have reordered), then the candidates sort into served
-// order. A candidate that fell out of the served list keeps SIZE_MAX and
-// sorts last.
-void AlignExplainToServed(obs::ExplainRecord& record,
-                          const std::vector<Suggestion>& served) {
-  std::unordered_map<std::string, size_t> rank_of;
-  rank_of.reserve(served.size());
-  for (size_t i = 0; i < served.size(); ++i) rank_of[served[i].query] = i;
-  for (obs::ExplainCandidate& c : record.candidates) {
-    auto it = rank_of.find(c.query);
-    if (it == rank_of.end()) {
-      c.final_rank = SIZE_MAX;
-      continue;
-    }
-    c.final_rank = it->second;
-    c.score = served[it->second].score;
-  }
-  std::stable_sort(record.candidates.begin(), record.candidates.end(),
-                   [](const obs::ExplainCandidate& a,
-                      const obs::ExplainCandidate& b) {
-                     return a.final_rank < b.final_rank;
-                   });
-}
 
 // The validation component that owns `query`'s string.
 uint32_t PrimaryComponentOf(const IndexSnapshot& snap,
@@ -126,42 +85,26 @@ StatusOr<std::unique_ptr<PqsdaEngine>> PqsdaEngine::Build(
 StatusOr<std::vector<Suggestion>> PqsdaEngine::Suggest(
     const SuggestionRequest& request, size_t k, SuggestStats* stats,
     obs::ExplainRecord* explain) const {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  static obs::Counter& requests_total =
-      reg.GetCounter("pqsda.suggest.requests_total");
-  static obs::Counter& errors_total =
-      reg.GetCounter("pqsda.suggest.errors_total");
-  static obs::Counter& not_found_total =
-      reg.GetCounter("pqsda.suggest.not_found_total");
-  static obs::Counter& traced_total =
-      reg.GetCounter("pqsda.suggest.traced_total");
-  static obs::Histogram& latency_us =
-      reg.GetHistogram("pqsda.suggest.latency_us");
-  static obs::Counter* rung_totals[4] = {
-      &reg.GetCounter("pqsda.robust.rung_full_total"),
-      &reg.GetCounter("pqsda.robust.rung_truncated_total"),
-      &reg.GetCounter("pqsda.robust.rung_walk_only_total"),
-      &reg.GetCounter("pqsda.robust.rung_cache_only_total")};
-  static obs::Counter& deadline_exceeded_total =
-      reg.GetCounter("pqsda.robust.deadline_exceeded_total");
-  static obs::Counter& cancelled_total =
-      reg.GetCounter("pqsda.robust.cancelled_total");
-
-  requests_total.Increment();
+  // Reset a reused stats struct before any work: no number of a previous
+  // request may survive *any* exit path — shed, cache hit, error,
+  // cancellation, deadline.
+  if (stats != nullptr) *stats = SuggestStats{};
   obs::ServingTelemetry& telemetry = obs::ServingTelemetry::Default();
-  const uint64_t request_id = telemetry.NextRequestId();
+  obs::RequestRecord record;
+  record.id = telemetry.NextRequestId();
+  record.request = &request;
+  record.k = k;
+  record.cache_enabled = cache_ != nullptr;
 
   // Admission first: an overloaded server answers kUnavailable in
   // microseconds instead of joining the queue it is already losing.
   Status admit = admission_.Admit();
   if (!admit.ok()) {
-    if (stats != nullptr) {
-      *stats = SuggestStats{};
-      stats->shed = true;
-    }
-    telemetry.RecordRequest(/*latency_us=*/0.0, /*ok=*/false,
-                            /*not_found=*/false, cache_ != nullptr,
-                            /*cache_hit=*/false, /*shed=*/true);
+    const StatusOr<std::vector<Suggestion>> shed = admit;
+    record.shed = true;
+    record.result = &shed;
+    telemetry.Record(record);
+    if (stats != nullptr) stats->shed = true;
     return admit;
   }
 
@@ -170,18 +113,15 @@ StatusOr<std::vector<Suggestion>> PqsdaEngine::Suggest(
   // tear this request, and the snapshot outlives the call via the
   // shared_ptr even if it stops being the published one mid-pipeline.
   const std::shared_ptr<const IndexSnapshot> snap = index_->Acquire();
+  record.generation = snap->generation;
 
   // The ladder rung is fixed here, once, from the remaining budget — the
   // pipeline below never re-escalates mid-request.
   const DegradationRung rung = ChooseRung(request);
-  rung_totals[static_cast<size_t>(rung)]->Increment();
+  record.rung = static_cast<size_t>(rung);
 
-  // With stats requested, the whole request runs under one trace; the
-  // diversifier's and personalizer's stage spans attach to it. Without
-  // stats, the telemetry layer head-samples requests into the /tracez ring.
-  const bool trace_sampled = stats == nullptr && telemetry.SampleTrace();
-  std::optional<obs::TraceCollector> collector;
-  if (stats != nullptr || trace_sampled) collector.emplace("suggest");
+  // Requests with stats always land in /tracez; the rest are head-sampled.
+  record.traced = stats != nullptr || telemetry.SampleTrace();
 
   // Explain: collected when the caller asked (explain != nullptr) or when
   // head sampling selected this request for the /explainz ring. The record
@@ -193,13 +133,11 @@ StatusOr<std::vector<Suggestion>> PqsdaEngine::Suggest(
     erec = std::make_shared<obs::ExplainRecord>();
   }
 
-  // The profiler brackets exactly the admitted request on this thread; the
-  // pipeline's stage scopes fold into this bracket and EndRequest attributes
-  // the whole to the rung chosen above.
+  // The profiler brackets exactly the admitted request on this thread: the
+  // pipeline's stage scopes accumulate into it, and EndRequest hands the
+  // costs to the record and attributes them to the rung chosen above.
   obs::StageProfiler& profiler = obs::StageProfiler::Default();
   profiler.BeginRequest();
-  WallTimer wall;
-  bool cache_hit = false;
   StatusOr<std::vector<Suggestion>> result = Status::Internal("unset");
   {
     // The scope installs the record as the thread's explain sink for exactly
@@ -207,117 +145,17 @@ StatusOr<std::vector<Suggestion>> PqsdaEngine::Suggest(
     // score terms through obs::CurrentExplain().
     std::optional<obs::ExplainScope> explain_scope;
     if (erec != nullptr) explain_scope.emplace(erec.get());
-    result = SuggestImpl(request, k, rung, *snap, stats, &cache_hit);
+    result = SuggestImpl(request, k, rung, *snap, stats, record);
   }
-  const double elapsed_us = static_cast<double>(wall.ElapsedNanos()) * 1e-3;
-  profiler.EndRequest(static_cast<size_t>(rung));
-  const int64_t total_us = static_cast<int64_t>(elapsed_us);
-  latency_us.Observe(elapsed_us);
+  profiler.EndRequest(record.rung, &record.stages);
+  record.result = &result;
+  telemetry.Record(record, erec);
 
-  const bool ok = result.ok();
-  const bool not_found =
-      !ok && result.status().code() == StatusCode::kNotFound;
-  if (!ok) {
-    // A cold query (NotFound) is routine traffic, not an internal failure;
-    // serving dashboards alert on errors_total only.
-    (not_found ? not_found_total : errors_total).Increment();
-    if (result.status().code() == StatusCode::kDeadlineExceeded) {
-      deadline_exceeded_total.Increment();
-    } else if (result.status().code() == StatusCode::kCancelled) {
-      cancelled_total.Increment();
-    }
-  }
-  telemetry.RecordRequest(elapsed_us, ok, not_found, cache_ != nullptr,
-                          cache_hit, /*shed=*/false, request_id,
-                          snap->generation + 1);
-
-  // The fingerprint is only computed when something consumes it (explain
-  // record or request log) — it is per-result work the unobserved request
-  // path must not pay.
-  obs::RequestLog* log = telemetry.request_log();
-  uint64_t fingerprint = 0;
-  if (ok && (erec != nullptr || log != nullptr)) {
-    fingerprint = FingerprintOf(*result);
-  }
-
-  if (erec != nullptr) {
-    erec->request_id = request_id;
-    erec->query = request.query;
-    erec->user = request.user;
-    erec->k = k;
-    erec->generation = snap->generation;
-    erec->rung = static_cast<size_t>(rung);
-    erec->cache_hit = cache_hit;
-    erec->total_us = total_us;
-    erec->ok = ok;
-    erec->fingerprint = fingerprint;
-    if (ok) {
-      AlignExplainToServed(*erec, *result);
-    } else {
-      erec->status = result.status().ToString();
-      erec->candidates.clear();
-    }
-    telemetry.explain_store().Add(erec);
-    if (explain != nullptr) *explain = *erec;
-  }
-
-  // Online quality sampling runs after the latency was measured and
-  // recorded, so the measurement itself never shows up in the percentiles
-  // it is meant to explain.
-  if (ok && telemetry.quality().Sample()) {
-    telemetry.quality().Record(
-        static_cast<size_t>(rung), cache_hit, ListSimpsonDiversity(*result),
-        k > 0 ? static_cast<double>(result->size()) / static_cast<double>(k)
-              : 0.0);
-  }
-
-  obs::SpanNode trace;
-  bool have_trace = false;
-  if (collector.has_value()) {
-    trace = collector->Take();
-    have_trace = true;
-    traced_total.Increment();
-    telemetry.RecordTrace(request_id, request.query, total_us, trace);
-  }
-
-  if (log != nullptr) {
-    obs::RequestLogEntry entry;
-    entry.request_id = request_id;
-    entry.user = request.user;
-    entry.query = request.query;
-    entry.k = k;
-    // Replay inputs: the full request (timestamp + context), the pinned
-    // generation, the rung, and the result fingerprint replay must match.
-    entry.timestamp = request.timestamp;
-    entry.context = request.context;
-    entry.generation = snap->generation;
-    entry.rung = static_cast<size_t>(rung);
-    entry.fingerprint = fingerprint;
-    entry.total_us = total_us;
-    entry.cache_hit = cache_hit;
-    entry.ok = ok;
-    if (!ok) entry.status = result.status().ToString();
-    if (have_trace) {
-      for (const char* stage :
-           {"expansion", "regularization_solve", "hitting_time_selection",
-            "personalization"}) {
-        if (const obs::SpanNode* node = trace.Find(stage)) {
-          entry.stage_us.emplace_back(stage, node->duration_us());
-        }
-      }
-    }
-    if (ok) {
-      entry.suggestions.reserve(result->size());
-      for (const Suggestion& s : *result) entry.suggestions.push_back(s.query);
-    }
-    log->Log(std::move(entry));
-  }
-
-  // Cache hits skip the pipeline: SuggestImpl already reset `stats`, and the
-  // near-empty wrapper trace is deliberately not attached so a reused stats
-  // struct reports "no stage trace" (TotalSpans()==1) as before.
-  if (stats != nullptr && have_trace && !cache_hit) {
-    stats->trace = std::move(trace);
+  if (explain != nullptr) *explain = *erec;
+  if (stats != nullptr) {
+    stats->stages = record.stages;
+    stats->degradation_rung = record.rung;
+    stats->negative_cache_hit = record.negative_cache_hit;
   }
   return result;
 }
@@ -348,36 +186,31 @@ StatusOr<std::vector<Suggestion>> PqsdaEngine::Replay(
           ? DegradationRung::kFull
           : static_cast<DegradationRung>(std::min<size_t>(entry.rung, 3));
 
-  obs::ExplainRecord record;
-  bool cache_hit = false;
+  obs::RequestRecord record;
+  record.id = entry.request_id;
+  record.request = &request;
+  record.k = entry.k;
+  record.generation = snap->generation;
+  record.rung = static_cast<size_t>(rung);
+  obs::ExplainRecord collected;
   WallTimer wall;
   StatusOr<std::vector<Suggestion>> result = Status::Internal("unset");
   {
     // Nested scope: replay may run on a serving thread mid-conversation
     // (the CLI), and the previous sink is restored on exit.
     std::optional<obs::ExplainScope> scope;
-    if (explain != nullptr) scope.emplace(&record);
+    if (explain != nullptr) scope.emplace(&collected);
     result = SuggestImpl(request, entry.k, rung, *snap, /*stats=*/nullptr,
-                         &cache_hit, /*bypass_cache=*/true);
+                         record, /*bypass_cache=*/true);
   }
   if (explain != nullptr) {
-    record.request_id = entry.request_id;
-    record.query = entry.query;
-    record.user = entry.user;
-    record.k = entry.k;
-    record.generation = snap->generation;
-    record.rung = static_cast<size_t>(rung);
-    record.cache_hit = false;  // the replayed execution itself never hits
-    record.total_us = wall.ElapsedMicros();
-    record.ok = result.ok();
-    if (result.ok()) {
-      record.fingerprint = FingerprintOf(*result);
-      AlignExplainToServed(record, *result);
-    } else {
-      record.status = result.status().ToString();
-      record.candidates.clear();
-    }
-    *explain = std::move(record);
+    // Replay runs outside any profiler bracket (it must not land in
+    // /profilez), so only its total is timed.
+    record.stages[static_cast<size_t>(obs::ProfileStage::kRequest)].wall_ns =
+        wall.ElapsedNanos();
+    record.result = &result;
+    obs::FillExplain(record, collected);
+    *explain = std::move(collected);
   }
   return result;
 }
@@ -404,18 +237,10 @@ DegradationRung PqsdaEngine::ChooseRung(const SuggestionRequest& request) const 
 
 StatusOr<std::vector<Suggestion>> PqsdaEngine::SuggestImpl(
     const SuggestionRequest& request, size_t k, DegradationRung rung,
-    const IndexSnapshot& snap, SuggestStats* stats, bool* cache_hit,
-    bool bypass_cache) const {
+    const IndexSnapshot& snap, SuggestStats* stats,
+    obs::RequestRecord& record, bool bypass_cache) const {
   static obs::Counter& personalized_total = obs::MetricsRegistry::Default()
       .GetCounter("pqsda.suggest.personalized_total");
-
-  // Reset a reused stats struct before any work: no trace, solver or
-  // selection number of a previous request may survive *any* exit path —
-  // cache hit, error, cancellation, deadline.
-  if (stats != nullptr) {
-    *stats = SuggestStats{};
-    stats->degradation_rung = static_cast<size_t>(rung);
-  }
 
   SuggestionCache::CacheKey cache_key;
   SuggestionCache::Validator validator;
@@ -449,7 +274,7 @@ StatusOr<std::vector<Suggestion>> PqsdaEngine::SuggestImpl(
       hit = cache_->Lookup(cache_key, &cached, validator);
     }
     if (hit) {
-      *cache_hit = true;
+      record.cache_hit = true;
       if (stats != nullptr) stats->suggestions_returned = cached.size();
       return cached;
     }
@@ -459,7 +284,7 @@ StatusOr<std::vector<Suggestion>> PqsdaEngine::SuggestImpl(
   // generations so an ingest that makes the query known invalidates it.
   if (negative_cache_ != nullptr && !bypass_cache &&
       negative_cache_->Lookup(cache_key, validator)) {
-    if (stats != nullptr) stats->negative_cache_hit = true;
+    record.negative_cache_hit = true;
     return Status::NotFound("no suggestions for \"" + request.query +
                             "\" (negative cache)");
   }
@@ -560,10 +385,10 @@ void PqsdaEngine::WarmupCache(const IndexSnapshot& snap) const {
     if (!seen.insert(key.full).second) continue;
     ++replayed;
     replayed_total.Increment();
-    bool hit = false;
+    obs::RequestRecord record;
     auto result = SuggestImpl(request, e.k, DegradationRung::kFull, snap,
-                              /*stats=*/nullptr, &hit);
-    if (hit) {
+                              /*stats=*/nullptr, record);
+    if (record.cache_hit) {
       hits_total.Increment();
     } else if (result.ok()) {
       filled_total.Increment();

@@ -11,6 +11,7 @@
 #include "core/admission.h"
 #include "obs/explain.h"
 #include "obs/request_log.h"
+#include "obs/telemetry.h"
 #include "core/engine_config.h"
 #include "core/index_manager.h"
 #include "core/personalizer.h"
@@ -47,15 +48,14 @@ class PqsdaEngine {
   /// last in-flight request finishes.
   ///
   /// `stats`, when non-null, opts this request into detailed observability:
-  /// it receives the end-to-end trace tree (stages "expansion",
-  /// "regularization_solve", "hitting_time_selection" and — when the rerank
-  /// ran — "personalization", each with microsecond durations and
-  /// annotations) plus the expansion/solver/selection work counters. With a
-  /// null pointer only the cheap always-on registry metrics are recorded.
+  /// it receives the request's per-stage costs (the same StageProfiler
+  /// measurement /profilez aggregates) plus the expansion/solver/selection
+  /// work counters, and the request is always traced into /tracez.
   ///
-  /// Every request additionally feeds the live serving telemetry
-  /// (obs::ServingTelemetry::Default()): it gets a process-unique request
-  /// id, its latency and outcome enter the 10s/1m/5m sliding windows, a
+  /// Every request leaves one obs::RequestRecord, fanned out by the live
+  /// serving telemetry (obs::ServingTelemetry::Default()): it gets a
+  /// process-unique request id, its latency, stage times and outcome enter
+  /// the registry histograms and the 10s/1m/5m sliding windows, a
   /// head-sampled subset is traced into the /tracez ring, and — when a
   /// request log is attached — a sampled-or-slow subset is emitted as
   /// structured JSONL.
@@ -160,17 +160,15 @@ class PqsdaEngine {
 
   /// The cache-lookup + diversify + personalize pipeline at a given ladder
   /// rung over one pinned snapshot, free of telemetry concerns; Suggest
-  /// wraps it with admission, rung selection, timing, tracing, windowed
-  /// recording and request-log emission. Resets a reused `stats` struct up
-  /// front so no field of a previous request survives any exit path (error,
-  /// cancel, deadline).
+  /// wraps it with admission, rung selection, the profiler bracket and the
+  /// telemetry fan-out. Sets the cache outcome on `record`.
   /// `bypass_cache` (replay) skips both the lookup and the fill, so a
   /// replayed request always re-runs the pipeline and never pollutes the
   /// cache with a result keyed to a retired generation.
   StatusOr<std::vector<Suggestion>> SuggestImpl(
       const SuggestionRequest& request, size_t k, DegradationRung rung,
-      const IndexSnapshot& snap, SuggestStats* stats, bool* cache_hit,
-      bool bypass_cache = false) const;
+      const IndexSnapshot& snap, SuggestStats* stats,
+      obs::RequestRecord& record, bool bypass_cache = false) const;
 
   /// Post-swap warmup (IndexManager's post-publish hook, rebuild thread):
   /// replays the tail of the configured JSONL request log through

@@ -126,6 +126,15 @@ std::string ExplainRecord::ToJson() const {
   out += ok ? "true" : "false";
   if (!ok) out += ",\"status\":\"" + JsonEscape(status) + "\"";
   out += ",\"total_us\":" + std::to_string(total_us);
+  if (!stage_us.empty()) {
+    out += ",\"stage_us\":{";
+    for (size_t i = 0; i < stage_us.size(); ++i) {
+      if (i > 0) out += ",";
+      out += "\"" + JsonEscape(stage_us[i].first) +
+             "\":" + std::to_string(stage_us[i].second);
+    }
+    out += "}";
+  }
   out += ",\"fingerprint\":\"" + FingerprintToHex(fingerprint) + "\"";
   out += ",\"candidates\":[";
   for (size_t i = 0; i < candidates.size(); ++i) {

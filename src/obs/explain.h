@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace pqsda::obs {
@@ -79,6 +80,9 @@ struct ExplainRecord {
   bool ok = true;
   std::string status;  // "" when ok
   int64_t total_us = 0;
+  /// (stage name, wall µs) of every stage that ran — the same instrument
+  /// and names as the request log, /tracez and /profilez.
+  std::vector<std::pair<std::string, int64_t>> stage_us;
   /// FNV-1a 64 over the served list (query bytes + score bit patterns);
   /// matches the request log's fingerprint and replay's equality check.
   uint64_t fingerprint = 0;

@@ -94,24 +94,33 @@ RequestLog::~RequestLog() {
 }
 
 bool RequestLog::Log(RequestLogEntry entry) {
+  if (!Admit(entry.total_us)) return false;
+  Enqueue(std::move(entry));
+  return true;
+}
+
+bool RequestLog::Admit(int64_t total_us) {
   seen_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t n = seq_.fetch_add(1, std::memory_order_relaxed);
-  const bool slow = entry.total_us >= options_.slow_us;
+  const bool slow = total_us >= options_.slow_us;
   const bool sampled =
       options_.sample_every > 0 && n % options_.sample_every == 0;
   if (!slow && !sampled) return false;
   accepted_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+void RequestLog::Enqueue(RequestLogEntry entry) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (queue_.size() >= options_.queue_capacity) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       DroppedCounter().Increment();
-      return true;
+      return;
     }
     queue_.push_back(std::move(entry));
   }
   cv_.notify_one();
-  return true;
 }
 
 void RequestLog::WriterLoop() {

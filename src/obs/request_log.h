@@ -47,8 +47,8 @@ struct RequestLogOptions {
   size_t max_rotated_files = 3;
 };
 
-/// One serving request as recorded in the log. `stage_us` carries whatever
-/// per-stage timings were available (populated when the request was traced);
+/// One serving request as recorded in the log. `stage_us` carries the wall
+/// time of every stage the request ran, under its ProfileStageName;
 /// `suggestions` holds the returned queries, best first.
 ///
 /// The entry carries everything needed to re-execute the request
@@ -118,6 +118,11 @@ class RequestLog {
   /// Returns true when the entry was accepted (queued or dropped-on-full),
   /// false when the policy skipped it.
   bool Log(RequestLogEntry entry);
+  /// Log in two steps, so a caller builds an entry only for the requests
+  /// the policy selects: Admit applies the policy to a request of
+  /// `total_us`, and an admitted entry must then be handed to Enqueue.
+  bool Admit(int64_t total_us);
+  void Enqueue(RequestLogEntry entry);
 
   /// Blocks until every accepted entry has been written (or counted as
   /// dropped) and the file is flushed.

@@ -32,20 +32,23 @@ size_t WindowEpochs(int64_t window_ns, int64_t epoch_ns, size_t ring) {
 }
 
 constexpr const char* kStageNames[kProfileStageCount] = {
-    "request", "cache",      "expansion",  "solve",      "selection",
-    "personalization", "drain", "sessionize", "graph_build", "publish"};
+    "request", "cache", "expansion", "solve", "selection", "personalization",
+    "drain", "sessionize", "graph_build", "publish", "upm_train"};
 
 constexpr const char* kRungNames[kProfileRungCount] = {
     "rung_full", "rung_truncated_solve", "rung_walk_only", "rung_cache_only",
     "rebuild"};
 
-// Per-request accumulator; armed by BeginRequest, folded by EndRequest,
+// Per-request accumulator; armed by BeginRequest, handed out by EndRequest,
 // always owned by exactly one thread — plain fields, no synchronization.
+// `profile` (the profiler was enabled at BeginRequest) adds the thread-CPU
+// clock and the fold.
 struct ThreadRequest {
   bool armed = false;
+  bool profile = false;
   int64_t wall0 = 0;
   int64_t cpu0 = 0;
-  StageCost stages[kProfileStageCount];
+  StageCosts stages;
 };
 
 thread_local ThreadRequest tls_request;
@@ -140,25 +143,25 @@ int64_t StageProfiler::NowNs() const {
 
 void StageProfiler::BeginRequest() {
   ThreadRequest& req = tls_request;
-  if (!enabled()) {
-    req.armed = false;
-    return;
-  }
-  for (StageCost& c : req.stages) c = StageCost{};
+  req.stages.fill(StageCost{});
+  req.profile = enabled();
   req.wall0 = SteadyNowNs();
-  req.cpu0 = ThreadCpuNowNs();
+  req.cpu0 = req.profile ? ThreadCpuNowNs() : 0;
   req.armed = true;
 }
 
-void StageProfiler::EndRequest(size_t rung) {
+void StageProfiler::EndRequest(size_t rung, StageCosts* costs) {
   ThreadRequest& req = tls_request;
   if (!req.armed) return;
   req.armed = false;
   StageCost& request = req.stages[static_cast<size_t>(ProfileStage::kRequest)];
   request.count = 1;
   request.wall_ns = SteadyNowNs() - req.wall0;
-  request.cpu_ns = ThreadCpuNowNs() - req.cpu0;
-  Fold(std::min<size_t>(rung, kProfileRungCount - 1), req.stages);
+  if (req.profile) request.cpu_ns = ThreadCpuNowNs() - req.cpu0;
+  if (costs != nullptr) *costs = req.stages;
+  if (req.profile) {
+    Fold(std::min<size_t>(rung, kProfileRungCount - 1), req.stages);
+  }
 }
 
 void StageProfiler::AddWork(ProfileStage stage, uint64_t items) {
@@ -167,8 +170,7 @@ void StageProfiler::AddWork(ProfileStage stage, uint64_t items) {
   req.stages[static_cast<size_t>(stage)].work += items;
 }
 
-void StageProfiler::Fold(size_t rung,
-                         const StageCost (&stages)[kProfileStageCount]) {
+void StageProfiler::Fold(size_t rung, const StageCosts& stages) {
   const int64_t epoch = NowNs() / options_.epoch_ns;
   Slot& slot = slots_[static_cast<size_t>(epoch) % options_.epochs];
   {
@@ -299,24 +301,28 @@ std::string StageProfiler::ProfilezJson(int64_t window_ns) const {
   return out;
 }
 
-StageScope::StageScope(ProfileStage stage)
-    : stage_(stage), armed_(tls_request.armed) {
-  if (!armed_) return;
+StageScope::StageScope(ProfileStage stage, Histogram* histogram)
+    : stage_(stage), histogram_(histogram), armed_(tls_request.armed) {
+  if (!armed_ && histogram_ == nullptr) return;
   wall0_ = SteadyNowNs();
-  cpu0_ = ThreadCpuNowNs();
+  if (armed_ && tls_request.profile) cpu0_ = ThreadCpuNowNs();
 }
 
 StageScope::~StageScope() {
-  if (!armed_) return;
+  if (!armed_ && histogram_ == nullptr) return;
+  const int64_t wall_ns = SteadyNowNs() - wall0_;
+  if (histogram_ != nullptr) {
+    histogram_->Observe(static_cast<double>(wall_ns) * 1e-3);
+  }
   ThreadRequest& req = tls_request;
   // The request may have been disarmed mid-scope (it cannot be in the
   // current pipeline, but the scope must stay safe if stages ever outlive
   // EndRequest).
-  if (!req.armed) return;
+  if (!armed_ || !req.armed) return;
   StageCost& c = req.stages[static_cast<size_t>(stage_)];
   c.count += 1;
-  c.wall_ns += SteadyNowNs() - wall0_;
-  c.cpu_ns += ThreadCpuNowNs() - cpu0_;
+  c.wall_ns += wall_ns;
+  if (req.profile) c.cpu_ns += ThreadCpuNowNs() - cpu0_;
 }
 
 }  // namespace pqsda::obs

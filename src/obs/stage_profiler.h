@@ -1,6 +1,7 @@
 #ifndef PQSDA_OBS_STAGE_PROFILER_H_
 #define PQSDA_OBS_STAGE_PROFILER_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -11,20 +12,20 @@
 
 namespace pqsda::obs {
 
+class Histogram;
+
 /// The attribution buckets of the serving pipeline. kRequest is the
 /// pseudo-stage covering the whole admitted request (everything between
-/// BeginRequest and EndRequest); the others map 1:1 onto the pipeline's
-/// trace spans:
-///   kCache           - suggestion-cache lookup ("cache" has no trace span)
-///   kExpansion       - §IV-A compact build ("expansion")
-///   kSolve           - Eq. 15 regularization solve ("regularization_solve")
-///   kSelection       - Algorithm 1 rounds ("hitting_time_selection") or the
-///                      walk-only scatter on rung 2 ("walk_only_scatter")
-///   kPersonalization - §V-B UPM rerank ("personalization")
+/// BeginRequest and EndRequest); the others are the StageScope boundaries:
+///   kCache           - suggestion-cache lookup
+///   kExpansion       - §IV-A compact build
+///   kSolve           - Eq. 15 regularization solve
+///   kSelection       - Algorithm 1 rounds, or the walk-only scatter on rung 2
+///   kPersonalization - §V-B UPM rerank
 ///
 /// The rebuild/ingest path shares the same machinery under its own lane
 /// (kProfileRebuildLane): IndexManager brackets each rebuild with
-/// BeginRequest/EndRequest and marks its phases with the kDrain..kPublish
+/// BeginRequest/EndRequest and marks its phases with the kDrain..kUpmTrain
 /// stages, so /profilez shows where rebuild time goes alongside serving.
 enum class ProfileStage : size_t {
   kRequest = 0,
@@ -38,9 +39,10 @@ enum class ProfileStage : size_t {
   kSessionize, // record -> session grouping
   kGraphBuild, // bipartite representation + corpus
   kPublish,    // snapshot swap + gauge updates
+  kUpmTrain,   // UPM Gibbs training (personalized builds only)
 };
 
-inline constexpr size_t kProfileStageCount = 10;
+inline constexpr size_t kProfileStageCount = 11;
 /// Lanes 0..3 are DegradationRung values; lane 4 is the rebuild path.
 inline constexpr size_t kProfileRungCount = 5;
 inline constexpr size_t kProfileRebuildLane = 4;
@@ -58,6 +60,10 @@ struct StageCost {
   uint64_t work = 0;
 };
 
+/// One request's costs, indexed by ProfileStage; [kRequest] is the whole
+/// bracket.
+using StageCosts = std::array<StageCost, kProfileStageCount>;
+
 /// CLOCK_THREAD_CPUTIME_ID in nanoseconds (0 where unavailable). CPU time
 /// is attributed to the thread that owns the stage scope; cycles a pool
 /// worker spends help-executing another request's parallel chunks land on
@@ -67,14 +73,14 @@ int64_t ThreadCpuNowNs();
 
 /// Windowed per-stage, per-degradation-rung cost attribution with
 /// near-zero request-path overhead: stage scopes accumulate into a plain
-/// thread-local struct (two clock reads per stage, no locks, no atomics),
-/// and EndRequest folds the finished request once into a ring of epochs
-/// (same shared-lock + relaxed-atomic discipline as SlidingWindowHistogram)
-/// plus the cumulative pqsda.profile.* counters.
+/// thread-local struct (no locks, no atomics), and EndRequest hands the
+/// finished request's costs to the caller's record and folds them once into
+/// a ring of epochs (same shared-lock + relaxed-atomic discipline as
+/// SlidingWindowHistogram) plus the cumulative pqsda.profile.* counters.
 ///
 /// The engine brackets every admitted request with BeginRequest/EndRequest;
 /// the pipeline stages mark themselves with StageScope/AddWork and cost
-/// nothing outside a bracketed request (or when the profiler is disabled).
+/// nothing outside a bracketed request.
 class StageProfiler {
  public:
   explicit StageProfiler(WindowOptions options = {});
@@ -86,9 +92,9 @@ class StageProfiler {
   /// threads may hold references across the swap).
   static StageProfiler& Install(WindowOptions options);
 
-  /// Toggles attribution. Disabling stops BeginRequest from arming the
-  /// thread-local accumulator, so stage scopes degrade to a single
-  /// thread-local bool read.
+  /// Toggles attribution. A disabled profiler still times each bracket's
+  /// stages on the wall clock (the request record needs them) but reads no
+  /// thread-CPU clock and folds nothing into the window ring or counters.
   void SetEnabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
@@ -97,10 +103,11 @@ class StageProfiler {
   /// Arms the calling thread's accumulator for one request. A request is
   /// profiled entirely on the thread that entered it.
   void BeginRequest();
-  /// Folds the accumulated stages into the window ring under the rung the
-  /// request was served at (DegradationRung numeric value), and disarms
-  /// the thread. No-op when BeginRequest did not arm.
-  void EndRequest(size_t rung);
+  /// Ends the bracket: copies the accumulated costs into `costs` when
+  /// non-null, folds them into the window ring under `rung` (DegradationRung
+  /// numeric value, or kProfileRebuildLane) when the profiler was enabled at
+  /// BeginRequest, and disarms the thread. No-op when nothing is armed.
+  void EndRequest(size_t rung, StageCosts* costs = nullptr);
 
   /// Adds stage-defined work units to the current thread's in-flight
   /// request; no-op outside BeginRequest/EndRequest.
@@ -134,7 +141,7 @@ class StageProfiler {
   };
 
   int64_t NowNs() const;
-  void Fold(size_t rung, const StageCost (&stages)[kProfileStageCount]);
+  void Fold(size_t rung, const StageCosts& stages);
 
   WindowOptions options_;
   std::atomic<bool> enabled_{true};
@@ -144,12 +151,14 @@ class StageProfiler {
   std::unique_ptr<Slot[]> slots_;
 };
 
-/// RAII stage bracket: measures wall + thread-CPU time of the enclosed
-/// block into the current request's thread-local accumulator. Free when no
-/// request is armed on this thread.
+/// RAII stage bracket: measures the enclosed block's wall time (plus thread
+/// CPU time while profiling) into the current request's thread-local
+/// accumulator. `histogram`, when set, also receives the wall time in
+/// microseconds, inside a bracket or not — the one clock feeds both sinks.
+/// Free when no request is armed and no histogram is attached.
 class StageScope {
  public:
-  explicit StageScope(ProfileStage stage);
+  explicit StageScope(ProfileStage stage, Histogram* histogram = nullptr);
   ~StageScope();
 
   StageScope(const StageScope&) = delete;
@@ -157,6 +166,7 @@ class StageScope {
 
  private:
   ProfileStage stage_;
+  Histogram* histogram_;
   bool armed_;
   int64_t wall0_ = 0;
   int64_t cpu0_ = 0;

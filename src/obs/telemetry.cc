@@ -4,8 +4,10 @@
 #include <chrono>
 #include <cstdio>
 #include <mutex>
+#include <unordered_map>
 
 #include "common/thread_pool.h"
+#include "eval/diversity.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/retire.h"
@@ -21,11 +23,25 @@ constexpr int64_t kSecond = 1'000'000'000;
 constexpr int64_t kWindowsNs[] = {10 * kSecond, 60 * kSecond, 300 * kSecond};
 constexpr const char* kWindowNames[] = {"10s", "1m", "5m"};
 
-// The per-stage cumulative latency histograms worth surfacing on /statusz.
+// The per-stage cumulative latency histograms, fed once per request from
+// the record and surfaced on /statusz.
 constexpr const char* kStageHistograms[] = {
     "pqsda.suggest.expansion_us", "pqsda.suggest.regularization_solve_us",
     "pqsda.suggest.hitting_time_selection_us",
     "pqsda.suggest.personalization_us", "pqsda.suggest.latency_us"};
+constexpr ProfileStage kHistogramStages[] = {
+    ProfileStage::kExpansion, ProfileStage::kSolve, ProfileStage::kSelection,
+    ProfileStage::kPersonalization, ProfileStage::kRequest};
+constexpr size_t kStageHistogramCount =
+    sizeof(kStageHistograms) / sizeof(kStageHistograms[0]);
+
+// The clock the whole surface reads: the injected one, else steady time.
+int64_t NowNs(const WindowOptions& window) {
+  if (window.clock) return window.clock();
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 std::string Num(double v) {
   char buf[64];
@@ -65,14 +81,77 @@ int64_t ProfilezWindowNs(const std::string& query) {
 
 }  // namespace
 
+std::vector<std::pair<std::string, int64_t>> RequestRecord::StageMicros()
+    const {
+  std::vector<std::pair<std::string, int64_t>> out;
+  for (size_t s = 1; s < kProfileStageCount; ++s) {
+    if (stages[s].count == 0) continue;
+    out.emplace_back(ProfileStageName(static_cast<ProfileStage>(s)),
+                     stages[s].wall_ns / 1000);
+  }
+  return out;
+}
+
+uint64_t RequestRecord::Fingerprint() const {
+  if (!fingerprinted_) {
+    fingerprinted_ = true;
+    if (ok()) {
+      Fingerprint64 fp;
+      for (const Suggestion& s : **result) {
+        fp.Mix(s.query);
+        fp.MixDouble(s.score);
+      }
+      fingerprint_ = fp.value();
+    }
+  }
+  return fingerprint_;
+}
+
+void FillExplain(const RequestRecord& record, ExplainRecord& explain) {
+  explain.request_id = record.id;
+  explain.query = record.request->query;
+  explain.user = record.request->user;
+  explain.k = record.k;
+  explain.generation = record.generation;
+  explain.rung = record.rung;
+  explain.cache_hit = record.cache_hit;
+  explain.total_us = record.total_us();
+  explain.stage_us = record.StageMicros();
+  explain.ok = record.ok();
+  explain.fingerprint = record.Fingerprint();
+  if (!explain.ok) {
+    explain.status = record.result->status().ToString();
+    explain.candidates.clear();
+    return;
+  }
+  // The pipeline-order candidates move onto the served list: final_rank and
+  // score become the served position and Suggestion::score (the §V-B rerank
+  // may have reordered), then the candidates sort into served order. A
+  // candidate that fell out of the served list keeps SIZE_MAX and sorts
+  // last.
+  const std::vector<Suggestion>& served = **record.result;
+  std::unordered_map<std::string, size_t> rank_of;
+  rank_of.reserve(served.size());
+  for (size_t i = 0; i < served.size(); ++i) rank_of[served[i].query] = i;
+  for (ExplainCandidate& c : explain.candidates) {
+    auto it = rank_of.find(c.query);
+    if (it == rank_of.end()) {
+      c.final_rank = SIZE_MAX;
+      continue;
+    }
+    c.final_rank = it->second;
+    c.score = served[it->second].score;
+  }
+  std::stable_sort(explain.candidates.begin(), explain.candidates.end(),
+                   [](const ExplainCandidate& a, const ExplainCandidate& b) {
+                     return a.final_rank < b.final_rank;
+                   });
+}
+
 ServingTelemetry::ServingTelemetry(ServingTelemetryOptions options)
     : options_(options),
       explain_sample_every_(options.explain_sample_every),
-      start_ns_(options.window.clock
-                    ? options.window.clock()
-                    : std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now().time_since_epoch())
-                          .count()),
+      start_ns_(NowNs(options.window)),
       requests_(options.window),
       errors_(options.window),
       not_found_(options.window),
@@ -121,55 +200,161 @@ bool ServingTelemetry::SampleExplain() {
   return explain_seq_.fetch_add(1, std::memory_order_relaxed) % every == 0;
 }
 
-void ServingTelemetry::RecordRequest(double latency_us, bool ok,
-                                     bool not_found, bool cache_enabled,
-                                     bool cache_hit, bool shed,
-                                     uint64_t request_id,
-                                     uint64_t generation_plus_one) {
+void ServingTelemetry::Record(const RequestRecord& record,
+                              std::shared_ptr<ExplainRecord> explain) {
+  MetricsRegistry& reg = MetricsRegistry::Default();
+  static Counter& requests_total =
+      reg.GetCounter("pqsda.suggest.requests_total");
+  static Counter& errors_total = reg.GetCounter("pqsda.suggest.errors_total");
+  static Counter& not_found_total =
+      reg.GetCounter("pqsda.suggest.not_found_total");
+  static Counter& traced_total = reg.GetCounter("pqsda.suggest.traced_total");
+  static Counter& deadline_exceeded_total =
+      reg.GetCounter("pqsda.robust.deadline_exceeded_total");
+  static Counter& cancelled_total =
+      reg.GetCounter("pqsda.robust.cancelled_total");
+  static Counter* rung_totals[4] = {
+      &reg.GetCounter("pqsda.robust.rung_full_total"),
+      &reg.GetCounter("pqsda.robust.rung_truncated_total"),
+      &reg.GetCounter("pqsda.robust.rung_walk_only_total"),
+      &reg.GetCounter("pqsda.robust.rung_cache_only_total")};
+  static Histogram* stage_us[kStageHistogramCount] = {
+      &reg.GetHistogram(kStageHistograms[0]),
+      &reg.GetHistogram(kStageHistograms[1]),
+      &reg.GetHistogram(kStageHistograms[2]),
+      &reg.GetHistogram(kStageHistograms[3]),
+      &reg.GetHistogram(kStageHistograms[4])};
+
+  requests_total.Increment();
   requests_.Add();
-  if (shed) {
+  if (record.shed) {
     shed_.Add();
     return;
   }
-  latency_.Record(latency_us);
-  if (request_id != 0) {
-    const std::vector<double>& bounds = latency_.bounds();
-    const size_t bucket = static_cast<size_t>(
-        std::upper_bound(bounds.begin(), bounds.end(), latency_us) -
-        bounds.begin());
-    ExemplarSlot& slot = exemplars_[bucket];
-    slot.request_id.store(request_id, std::memory_order_relaxed);
-    slot.latency_us.store(static_cast<int64_t>(latency_us),
-                          std::memory_order_relaxed);
-    slot.at_ns.store(options_.window.clock
-                         ? options_.window.clock()
-                         : std::chrono::duration_cast<
-                               std::chrono::nanoseconds>(
-                               std::chrono::steady_clock::now()
-                                   .time_since_epoch())
-                               .count(),
-                     std::memory_order_relaxed);
-    slot.generation_plus_one.store(generation_plus_one,
-                                   std::memory_order_relaxed);
+  rung_totals[std::min<size_t>(record.rung, 3)]->Increment();
+  for (size_t h = 0; h < kStageHistogramCount; ++h) {
+    const StageCost& cost =
+        record.stages[static_cast<size_t>(kHistogramStages[h])];
+    if (cost.count > 0) {
+      stage_us[h]->Observe(static_cast<double>(cost.wall_ns) * 1e-3);
+    }
   }
-  if (!ok && !not_found) errors_.Add();
-  if (not_found) not_found_.Add();
-  if (cache_enabled) {
+
+  // Windows and the latency bucket's exemplar, on the whole-request wall
+  // time ([kRequest]).
+  const double latency_us =
+      static_cast<double>(record.stages[0].wall_ns) * 1e-3;
+  latency_.Record(latency_us);
+  const std::vector<double>& bounds = latency_.bounds();
+  ExemplarSlot& slot = exemplars_[static_cast<size_t>(
+      std::upper_bound(bounds.begin(), bounds.end(), latency_us) -
+      bounds.begin())];
+  slot.request_id.store(record.id, std::memory_order_relaxed);
+  slot.latency_us.store(static_cast<int64_t>(latency_us),
+                        std::memory_order_relaxed);
+  slot.at_ns.store(NowNs(options_.window), std::memory_order_relaxed);
+  slot.generation.store(record.generation, std::memory_order_relaxed);
+  if (record.cache_enabled) {
     cache_lookups_.Add();
-    if (cache_hit) cache_hits_.Add();
+    if (record.cache_hit) cache_hits_.Add();
+  }
+
+  const bool ok = record.ok();
+  if (!ok) {
+    // A cold query (NotFound) is routine traffic, not an internal failure;
+    // serving dashboards alert on errors_total only.
+    const StatusCode code = record.result->status().code();
+    if (code == StatusCode::kNotFound) {
+      not_found_total.Increment();
+      not_found_.Add();
+    } else {
+      errors_total.Increment();
+      errors_.Add();
+    }
+    if (code == StatusCode::kDeadlineExceeded) {
+      deadline_exceeded_total.Increment();
+    } else if (code == StatusCode::kCancelled) {
+      cancelled_total.Increment();
+    }
+  }
+
+  if (explain != nullptr) {
+    FillExplain(record, *explain);
+    explain_store_.Add(std::move(explain));
+  }
+
+  // Online quality sampling runs after the latency was measured and
+  // recorded, so the measurement itself never shows up in the percentiles
+  // it is meant to explain.
+  if (ok && quality_.Sample()) {
+    const std::vector<Suggestion>& served = **record.result;
+    quality_.Record(record.rung, record.cache_hit,
+                    ListSimpsonDiversity(served),
+                    record.k > 0 ? static_cast<double>(served.size()) /
+                                       static_cast<double>(record.k)
+                                 : 0.0);
+  }
+
+  if (record.traced) {
+    traced_total.Increment();
+    RecordTrace(record);
+  }
+
+  RequestLog* log = request_log();
+  if (log != nullptr && log->Admit(record.total_us())) {
+    const SuggestionRequest& request = *record.request;
+    RequestLogEntry entry;
+    entry.request_id = record.id;
+    entry.user = request.user;
+    entry.query = request.query;
+    entry.k = record.k;
+    // Replay inputs: the full request (timestamp + context), the pinned
+    // generation, the rung, and the result fingerprint replay must match.
+    entry.timestamp = request.timestamp;
+    entry.context = request.context;
+    entry.generation = record.generation;
+    entry.rung = record.rung;
+    entry.fingerprint = record.Fingerprint();
+    entry.total_us = record.total_us();
+    entry.cache_hit = record.cache_hit;
+    entry.ok = ok;
+    entry.stage_us = record.StageMicros();
+    if (ok) {
+      entry.suggestions.reserve((*record.result)->size());
+      for (const Suggestion& s : **record.result) {
+        entry.suggestions.push_back(s.query);
+      }
+    } else {
+      entry.status = record.result->status().ToString();
+    }
+    log->Enqueue(std::move(entry));
   }
 }
 
-void ServingTelemetry::RecordTrace(uint64_t request_id,
-                                   const std::string& query, int64_t total_us,
-                                   const SpanNode& trace) {
+void ServingTelemetry::RecordTrace(const RequestRecord& record) {
   TracezEntry entry;
-  entry.request_id = request_id;
-  entry.total_us = total_us;
-  entry.json = "{\"request_id\":" + std::to_string(request_id) +
-               ",\"query\":\"" + JsonEscape(query) +
-               "\",\"total_us\":" + std::to_string(total_us) +
-               ",\"trace\":" + trace.ToJson() + "}";
+  entry.total_us = record.total_us();
+  entry.json = "{\"request_id\":" + std::to_string(record.id) +
+               ",\"query\":\"" + JsonEscape(record.request->query) +
+               "\",\"total_us\":" + std::to_string(entry.total_us) +
+               ",\"generation\":" + std::to_string(record.generation) +
+               ",\"rung\":" + std::to_string(record.rung) +
+               ",\"cache_hit\":" + (record.cache_hit ? "true" : "false") +
+               ",\"ok\":" + (record.ok() ? "true" : "false") +
+               ",\"stages\":{";
+  bool first = true;
+  for (size_t s = 1; s < kProfileStageCount; ++s) {
+    const StageCost& cost = record.stages[s];
+    if (cost.count == 0) continue;
+    if (!first) entry.json += ",";
+    first = false;
+    entry.json += "\"" +
+                  std::string(ProfileStageName(static_cast<ProfileStage>(s))) +
+                  "\":{\"wall_us\":" + std::to_string(cost.wall_ns / 1000) +
+                  ",\"cpu_us\":" + std::to_string(cost.cpu_ns / 1000) +
+                  ",\"work\":" + std::to_string(cost.work) + "}";
+  }
+  entry.json += "}}";
 
   std::lock_guard<std::mutex> lock(tracez_mu_);
   if (options_.tracez_recent > 0) {
@@ -178,7 +363,7 @@ void ServingTelemetry::RecordTrace(uint64_t request_id,
   }
   if (options_.tracez_slowest > 0) {
     const bool full = slowest_.size() >= options_.tracez_slowest;
-    if (!full || total_us > slowest_.back().total_us) {
+    if (!full || entry.total_us > slowest_.back().total_us) {
       if (full) slowest_.pop_back();
       auto pos = std::upper_bound(
           slowest_.begin(), slowest_.end(), entry,
@@ -212,12 +397,7 @@ std::string ServingTelemetry::AlertzJson() const {
 
 std::string ServingTelemetry::StatuszJson() const {
   MetricsRegistry& reg = MetricsRegistry::Default();
-  const int64_t now_ns =
-      options_.window.clock
-          ? options_.window.clock()
-          : std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count();
+  const int64_t now_ns = NowNs(options_.window);
 
   std::string out = "{\"uptime_sec\":" +
                     Num(static_cast<double>(now_ns - start_ns_) * 1e-9);
@@ -291,10 +471,9 @@ std::string ServingTelemetry::StatuszJson() const {
       const ExemplarSlot& slot = exemplars_[b];
       const uint64_t id = slot.request_id.load(std::memory_order_relaxed);
       if (id == 0) continue;
-      const uint64_t gen_p1 =
-          slot.generation_plus_one.load(std::memory_order_relaxed);
-      if (gen_p1 != 0 && oldest_live > 0 &&
-          static_cast<double>(gen_p1 - 1) < oldest_live) {
+      const uint64_t generation =
+          slot.generation.load(std::memory_order_relaxed);
+      if (static_cast<double>(generation) < oldest_live) {
         continue;  // generation reclaimed: exemplar aged out
       }
       if (!first) out += ",";
@@ -309,10 +488,8 @@ std::string ServingTelemetry::StatuszJson() const {
              Num(static_cast<double>(
                      now_ns - slot.at_ns.load(std::memory_order_relaxed)) *
                  1e-9);
-      if (gen_p1 != 0) {
-        out += ",\"generation\":" + std::to_string(gen_p1 - 1);
-        out += ",\"replay\":\"suggest_cli replay " + std::to_string(id) + "\"";
-      }
+      out += ",\"generation\":" + std::to_string(generation);
+      out += ",\"replay\":\"suggest_cli replay " + std::to_string(id) + "\"";
       out += "}";
     }
   }
@@ -383,7 +560,7 @@ std::string ServingTelemetry::StatuszJson() const {
   out += "}";
 
   out += ",\"stages\":{";
-  for (size_t s = 0; s < sizeof(kStageHistograms) / sizeof(char*); ++s) {
+  for (size_t s = 0; s < kStageHistogramCount; ++s) {
     if (s > 0) out += ",";
     Histogram& h = reg.GetHistogram(kStageHistograms[s]);
     out += "\"" + std::string(kStageHistograms[s]) + "\":{";

@@ -14,7 +14,8 @@
 #include "obs/request_log.h"
 #include "obs/sliding_window.h"
 #include "obs/slo.h"
-#include "obs/trace.h"
+#include "obs/stage_profiler.h"
+#include "suggest/engine.h"
 
 namespace pqsda::obs {
 
@@ -27,7 +28,7 @@ struct ServingTelemetryOptions {
   WindowOptions window;
   /// Trace 1 of every N requests into the /tracez ring (head sampling, like
   /// the request log). 0 disables sampling; requests that opt into
-  /// SuggestStats are always traced and still feed the ring.
+  /// SuggestStats are always traced into the ring.
   uint64_t trace_sample_every = 0;
   /// /tracez keeps this many most-recent and this many slowest traces.
   size_t tracez_recent = 16;
@@ -44,6 +45,51 @@ struct ServingTelemetryOptions {
   /// How many explain records /explainz retains (newest win).
   size_t explain_store_capacity = 64;
 };
+
+/// The one record a served request leaves behind. The engine fills it once
+/// per request — the stage costs come from the StageProfiler bracket — and
+/// ServingTelemetry::Record fans it out to every serving sink.
+struct RequestRecord {
+  uint64_t id = 0;
+  /// The request as served; outlives the record.
+  const SuggestionRequest* request = nullptr;
+  size_t k = 0;
+  /// Index generation pinned at admission.
+  uint64_t generation = 0;
+  /// DegradationRung numeric value chosen at admission.
+  size_t rung = 0;
+  bool cache_enabled = false;
+  bool cache_hit = false;
+  bool negative_cache_hit = false;
+  /// Admission control answered kUnavailable before any pipeline work.
+  bool shed = false;
+  /// Selected for the /tracez ring.
+  bool traced = false;
+  /// The served outcome; set before the fan-out.
+  const StatusOr<std::vector<Suggestion>>* result = nullptr;
+  /// Stage costs of the request bracket; [kRequest] is the whole request.
+  StageCosts stages{};
+
+  bool ok() const { return result != nullptr && result->ok(); }
+  int64_t total_us() const {
+    return stages[static_cast<size_t>(ProfileStage::kRequest)].wall_ns / 1000;
+  }
+  /// (stage name, wall µs) of every stage that ran, in ProfileStage order —
+  /// the request log's and /explainz's `stage_us`.
+  std::vector<std::pair<std::string, int64_t>> StageMicros() const;
+  /// FNV-1a 64 over the served list (see Fingerprint64); 0 unless ok.
+  /// Computed on first use, so only requests a sink consumes pay for it.
+  uint64_t Fingerprint() const;
+
+ private:
+  mutable bool fingerprinted_ = false;
+  mutable uint64_t fingerprint_ = 0;
+};
+
+/// Copies the record's header fields (id, request, generation, rung, cache
+/// outcome, status, total and stage times, fingerprint) into `explain` and
+/// aligns its candidates to the served list.
+void FillExplain(const RequestRecord& record, ExplainRecord& explain);
 
 /// Process-wide live serving telemetry: windowed request rates and latency
 /// percentiles (10s / 1m / 5m), a ring of recent + slowest request traces,
@@ -93,25 +139,15 @@ class ServingTelemetry {
   /// answers 404).
   std::string ExplainzJson(uint64_t request_id, bool has_id) const;
 
-  /// Records one finished request into the sliding windows. A shed request
-  /// (admission control answered kUnavailable before any pipeline work)
-  /// feeds the shed window only — its near-zero latency would poison the
+  /// Fans one finished request out to every serving sink: the pqsda.suggest
+  /// and pqsda.robust counters, the latency and stage histograms, the
+  /// sliding windows and latency exemplars, the /tracez ring (when traced),
+  /// `explain` (header fields filled, then stored for /explainz), online
+  /// quality sampling and the request log. A shed request feeds the request
+  /// and shed windows only — its near-zero latency would poison the
   /// percentiles, and it is neither an error nor traffic served.
-  /// A nonzero `request_id` additionally stamps the request as the exemplar
-  /// of its latency bucket, so /statusz can link a percentile spike to the
-  /// concrete request in /tracez or the request log. `generation_plus_one`
-  /// is the pinned index generation shifted by one so the real generation 0
-  /// stays representable; 0 means unknown. Exemplars with a known generation
-  /// carry a replay link and age out of /statusz once that generation leaves
-  /// the replayable snapshot ring.
-  void RecordRequest(double latency_us, bool ok, bool not_found,
-                     bool cache_enabled, bool cache_hit, bool shed = false,
-                     uint64_t request_id = 0, uint64_t generation_plus_one = 0);
-
-  /// Stores a finished request's trace in the /tracez ring (rendered to
-  /// JSON once, here, so the ring holds no live SpanNode trees).
-  void RecordTrace(uint64_t request_id, const std::string& query,
-                   int64_t total_us, const SpanNode& trace);
+  void Record(const RequestRecord& record,
+              std::shared_ptr<ExplainRecord> explain = nullptr);
 
   /// Attaches (or replaces, or detaches with null) the sampled request log.
   void AttachRequestLog(std::unique_ptr<RequestLog> log);
@@ -128,7 +164,8 @@ class ServingTelemetry {
   /// and engine build info.
   std::string StatuszJson() const;
 
-  /// {"recent":[...],"slowest":[...]} of rendered trace trees.
+  /// {"recent":[...],"slowest":[...]} of traced requests: id, query, total,
+  /// generation, rung, cache outcome and per-stage wall/cpu/work.
   std::string TracezJson() const;
 
   /// Installs (or replaces) the burn-rate SLO engine over this surface's
@@ -154,22 +191,22 @@ class ServingTelemetry {
 
  private:
   struct TracezEntry {
-    uint64_t request_id = 0;
     int64_t total_us = 0;
-    std::string json;  // rendered SpanNode tree + id/query header
+    std::string json;  // rendered once, at Record
   };
 
   /// Most recent request landing in one latency bucket. Torn reads across
-  /// the three fields are possible and acceptable — exemplars are debugging
+  /// the fields are possible and acceptable — exemplars are debugging
   /// breadcrumbs, not accounting.
   struct ExemplarSlot {
     std::atomic<uint64_t> request_id{0};
     std::atomic<int64_t> latency_us{0};
     std::atomic<int64_t> at_ns{0};
-    /// Pinned index generation + 1; 0 means unknown (callers predating the
-    /// generation plumbing), which never ages out.
-    std::atomic<uint64_t> generation_plus_one{0};
+    /// Pinned index generation.
+    std::atomic<uint64_t> generation{0};
   };
+
+  void RecordTrace(const RequestRecord& record);
 
   ServingTelemetryOptions options_;
   std::atomic<uint64_t> next_request_id_{0};

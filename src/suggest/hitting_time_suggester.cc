@@ -7,7 +7,6 @@
 #include "common/fault_injector.h"
 #include "common/simd.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace pqsda {
 
@@ -324,7 +323,6 @@ StatusOr<std::vector<Suggestion>> HittingTimeSuggester::Suggest(
     const SuggestionRequest& request, size_t k) const {
   static obs::Histogram& latency_us =
       obs::MetricsRegistry::Default().GetHistogram("pqsda.ht.latency_us");
-  obs::TraceSpan span("hitting_time");
   obs::ScopedTimer timer(latency_us);
   StringId q = graph_->QueryId(request.query);
   if (q == kInvalidStringId) {
@@ -341,7 +339,6 @@ StatusOr<std::vector<Suggestion>> HittingTimeSuggester::Suggest(
     candidates.push_back(Suggestion{
         graph_->QueryString(static_cast<StringId>(i)), horizon - h[i]});
   }
-  span.Annotate("candidates_scored", static_cast<int64_t>(candidates.size()));
   return FinalizeSuggestions(request, std::move(candidates), k);
 }
 
@@ -368,7 +365,6 @@ StatusOr<std::vector<Suggestion>> PersonalizedHittingTimeSuggester::Suggest(
     const SuggestionRequest& request, size_t k) const {
   static obs::Histogram& latency_us =
       obs::MetricsRegistry::Default().GetHistogram("pqsda.pht.latency_us");
-  obs::TraceSpan span("personalized_hitting_time");
   obs::ScopedTimer timer(latency_us);
   StringId q = graph_->QueryId(request.query);
   if (q == kInvalidStringId) {

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <unordered_map>
 
 #include "common/fault_injector.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/stage_profiler.h"
-#include "obs/trace.h"
 #include "text/tokenizer.h"
 
 namespace pqsda {
@@ -60,17 +58,9 @@ std::vector<std::pair<StringId, double>> PqsdaDiversifier::TermMatchSeeds(
 StatusOr<DiversificationOutput> PqsdaDiversifier::DiversifyWith(
     const SuggestionRequest& request, size_t k,
     const PqsdaDiversifierOptions& options, SuggestStats* stats) const {
-  // Stage latencies always feed the registry (two clock reads per stage —
-  // noise next to the ms-scale stages); the trace tree is only built when a
-  // collector is installed (by the engine, or here when the caller asked
-  // for stats outside any engine trace).
+  // Each stage is timed once, by its StageScope, into the caller's request
+  // bracket; the engine's request record feeds every timing sink from it.
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  static obs::Histogram& expansion_us =
-      reg.GetHistogram("pqsda.suggest.expansion_us");
-  static obs::Histogram& solve_us =
-      reg.GetHistogram("pqsda.suggest.regularization_solve_us");
-  static obs::Histogram& selection_us =
-      reg.GetHistogram("pqsda.suggest.hitting_time_selection_us");
   static obs::Counter& compact_rounds =
       reg.GetCounter("pqsda.compact.rounds_total");
   static obs::Counter& compact_walk_steps =
@@ -82,19 +72,6 @@ StatusOr<DiversificationOutput> PqsdaDiversifier::DiversifyWith(
 
   const CancelToken* cancel = request.cancel;
 
-  std::optional<obs::TraceCollector> own_trace;
-  if (stats != nullptr && !obs::TraceActive()) own_trace.emplace("diversify");
-  // Hands the finished trace to `stats` on every exit path (errors too).
-  struct TraceHandoff {
-    std::optional<obs::TraceCollector>& collector;
-    SuggestStats* stats;
-    ~TraceHandoff() {
-      if (collector.has_value() && stats != nullptr) {
-        stats->trace = collector->Take();
-      }
-    }
-  } handoff{own_trace, stats};
-
   // §IV-A: compact representation around the input + context.
   StatusOr<CompactRepresentation> rep_or = Status::Internal("unset");
   std::vector<std::pair<StringId, int64_t>> context_ids;
@@ -103,9 +80,7 @@ StatusOr<DiversificationOutput> PqsdaDiversifier::DiversifyWith(
   StringId input = kInvalidStringId;
   CompactBuildStats build_stats;
   {
-    obs::TraceSpan span("expansion");
     obs::StageScope stage(obs::ProfileStage::kExpansion);
-    obs::ScopedTimer timer(expansion_us);
     input = mb_->QueryId(request.query);
     for (const auto& [q, ts] : request.context) {
       StringId id = mb_->QueryId(q);
@@ -142,12 +117,6 @@ StatusOr<DiversificationOutput> PqsdaDiversifier::DiversifyWith(
     compact_admitted.Increment(build_stats.queries_admitted);
     obs::StageProfiler::AddWork(obs::ProfileStage::kExpansion,
                                 build_stats.walk_steps);
-    if (rep_or.ok()) {
-      span.Annotate("compact_size", static_cast<int64_t>(rep_or->size()));
-      span.Annotate("rounds", static_cast<int64_t>(build_stats.rounds));
-      span.Annotate("candidates_scored",
-                    static_cast<int64_t>(build_stats.candidates_scored));
-    }
   }
   if (!rep_or.ok()) return rep_or.status();
   const CompactRepresentation& rep = *rep_or;
@@ -198,9 +167,7 @@ StatusOr<DiversificationOutput> PqsdaDiversifier::DiversifyWith(
     // compact queries, and the top-k by that score are the answer. One pass
     // over the seed rows' nonzeros; deterministic like the full pipeline.
     DiversificationOutput out;
-    obs::TraceSpan span("walk_only_scatter");
     obs::StageScope stage(obs::ProfileStage::kSelection);
-    obs::ScopedTimer timer(selection_us);
     static thread_local std::vector<double> f0;
     build_seed(f0);
     std::vector<double> f(rep.size(), 0.0);
@@ -257,17 +224,13 @@ StatusOr<DiversificationOutput> PqsdaDiversifier::DiversifyWith(
       }
     }
     obs::StageProfiler::AddWork(obs::ProfileStage::kSelection, scored);
-    span.Annotate("candidates_scored", static_cast<int64_t>(scored));
-    span.Annotate("selected", static_cast<int64_t>(out.candidates.size()));
     return out;
   }
 
   // §IV-B: regularization framework for the relevance estimate F*.
   std::vector<double> f;
   {
-    obs::TraceSpan span("regularization_solve");
     obs::StageScope stage(obs::ProfileStage::kSolve);
-    obs::ScopedTimer timer(solve_us);
     static thread_local std::vector<double> f0;
     build_seed(f0);
     SolverResult solve_result;
@@ -280,10 +243,6 @@ StatusOr<DiversificationOutput> PqsdaDiversifier::DiversifyWith(
         SolveRegularization(rep, f0, reg_options, &solve_result,
                             &solver_workspace, &ThreadPool::Shared());
     if (stats != nullptr) stats->solve = solve_result;
-    span.Annotate("iterations", static_cast<int64_t>(solve_result.iterations));
-    span.Annotate("residual", solve_result.relative_residual);
-    span.Annotate("converged", std::string(solve_result.converged ? "true"
-                                                                  : "false"));
     if (!f_or.ok()) return f_or.status();
     if (!solve_result.converged) nonconverged_served.Increment();
     f = std::move(f_or).value();
@@ -293,9 +252,7 @@ StatusOr<DiversificationOutput> PqsdaDiversifier::DiversifyWith(
   // cross-bipartite hitting time to the already-selected set (Algorithm 1).
   DiversificationOutput out;
   {
-    obs::TraceSpan span("hitting_time_selection");
     obs::StageScope stage(obs::ProfileStage::kSelection);
-    obs::ScopedTimer timer(selection_us);
 
     // The input (when it is a log query) and its context are not candidates;
     // term-match seeds of an unseen input, by contrast, are perfectly good
@@ -317,16 +274,13 @@ StatusOr<DiversificationOutput> PqsdaDiversifier::DiversifyWith(
     out.compact_queries = rep.queries;
     out.components_read = build_stats.components_read;
     if (by_relevance.empty()) {
-      // Legitimate empty answer (every compact query excluded). Stats and
-      // annotations must reflect this run, not a previous one.
+      // Legitimate empty answer (every compact query excluded). Stats must
+      // reflect this run, not a previous one.
       if (stats != nullptr) {
         stats->hitting_rounds = 0;
         stats->candidates_scored = 0;
         stats->suggestions_returned = 0;
       }
-      span.Annotate("rounds", static_cast<int64_t>(0));
-      span.Annotate("candidates_scored", static_cast<int64_t>(0));
-      span.Annotate("selected", static_cast<int64_t>(0));
       return out;
     }
 
@@ -433,10 +387,6 @@ StatusOr<DiversificationOutput> PqsdaDiversifier::DiversifyWith(
     }
     obs::StageProfiler::AddWork(obs::ProfileStage::kSelection,
                                 candidates_scored);
-    span.Annotate("rounds", static_cast<int64_t>(rounds));
-    span.Annotate("candidates_scored",
-                  static_cast<int64_t>(candidates_scored));
-    span.Annotate("selected", static_cast<int64_t>(selected.size()));
 
     // §IV-C: the final candidate list is "sorted with a descending relevance
     // to the input query" — order the selected set by F*.

@@ -79,11 +79,9 @@ class PqsdaDiversifier : public SuggestionEngine {
                                             size_t k) const override;
 
   /// Full-output variant of Suggest. When `stats` is non-null the call
-  /// additionally records a per-stage trace ("expansion",
-  /// "regularization_solve", "hitting_time_selection") and work counters
-  /// into it; if an obs::TraceCollector is already installed on the thread
-  /// (the engine's end-to-end trace) the stage spans attach to that trace
-  /// instead of starting their own.
+  /// additionally records the expansion/solver/selection work counters into
+  /// it. Stage times go to the caller's StageProfiler bracket (the engine's
+  /// request record), not to `stats`.
   StatusOr<DiversificationOutput> Diversify(const SuggestionRequest& request,
                                             size_t k,
                                             SuggestStats* stats = nullptr) const;

@@ -5,8 +5,15 @@
 namespace pqsda {
 
 std::string SuggestStats::Render() const {
-  std::string out = trace.Render();
+  std::string out;
   char buf[256];
+  for (size_t s = 0; s < obs::kProfileStageCount; ++s) {
+    if (stages[s].count == 0) continue;
+    std::snprintf(buf, sizeof(buf), "%s%s  %lldus\n", s == 0 ? "" : "  ",
+                  obs::ProfileStageName(static_cast<obs::ProfileStage>(s)),
+                  static_cast<long long>(stages[s].wall_ns / 1000));
+    out += buf;
+  }
   std::snprintf(buf, sizeof(buf),
                 "compact: %zu queries (%zu seeds, %zu rounds, %zu candidates "
                 "scored)\n",

@@ -5,22 +5,22 @@
 #include <string>
 
 #include "graph/compact_builder.h"
-#include "obs/trace.h"
+#include "obs/stage_profiler.h"
 #include "solver/linear_solvers.h"
 
 namespace pqsda {
 
 /// Per-request pipeline breakdown, filled when a caller opts in by passing a
 /// SuggestStats pointer to PqsdaEngine::Suggest or PqsdaDiversifier::
-/// Diversify. Collection costs one trace tree per request; with no stats
-/// pointer the instrumentation reduces to thread-local null checks and a
-/// few relaxed atomics.
+/// Diversify. The work counters come from the pipeline; the times come from
+/// the engine's request record, so they are the same measurement /profilez,
+/// /tracez and the request log show.
 struct SuggestStats {
-  /// Trace tree rooted at the whole call. The pipeline stages appear as
-  /// descendants named "expansion", "regularization_solve",
-  /// "hitting_time_selection" and (when personalization ran)
-  /// "personalization".
-  obs::SpanNode trace;
+  /// Per-stage wall/CPU/work of the request, indexed by obs::ProfileStage
+  /// ([kRequest] is the whole request). Filled by PqsdaEngine::Suggest only;
+  /// a direct Diversify call leaves it zero — bracket it with
+  /// StageProfiler::BeginRequest/EndRequest to time it.
+  obs::StageCosts stages{};
 
   /// §IV-A expansion work (queries expanded, walk steps).
   CompactBuildStats expansion;
@@ -47,9 +47,12 @@ struct SuggestStats {
   /// engine never touched the index for this request.
   bool negative_cache_hit = false;
 
-  int64_t total_us() const { return trace.duration_us(); }
+  int64_t stage_us(obs::ProfileStage stage) const {
+    return stages[static_cast<size_t>(stage)].wall_ns / 1000;
+  }
+  int64_t total_us() const { return stage_us(obs::ProfileStage::kRequest); }
 
-  /// Multi-line human-readable breakdown (trace tree + counters), as
+  /// Multi-line human-readable breakdown (stage times + counters), as
   /// printed by `suggest_cli --stats`.
   std::string Render() const;
 };

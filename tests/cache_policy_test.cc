@@ -497,7 +497,7 @@ std::vector<TraceOp> MakeTrace(std::mt19937* rng, size_t ops, size_t key_space,
       trace.push_back(op);
       continue;
     }
-    size_t key;
+    size_t key = 0;
     switch (pattern) {
       case TracePattern::kUniform:
         key = uniform(*rng);
@@ -518,6 +518,10 @@ std::vector<TraceOp> MakeTrace(std::mt19937* rng, size_t ops, size_t key_space,
         // A loop one larger than the capacity (LRU's pathological case)
         // mixed with uniform noise.
         key = (roll % 2 == 0) ? (i % (capacity + 1)) : uniform(*rng);
+        break;
+      default:
+        ADD_FAILURE() << "unhandled TracePattern "
+                      << static_cast<int>(pattern);
         break;
     }
     op.kind = roll < 7 ? TraceOp::kErase : TraceOp::kAccess;

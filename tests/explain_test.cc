@@ -614,19 +614,24 @@ TEST(ExemplarAgingTest, StaleGenerationDropsFromStatusz) {
       "pqsda.ingest.oldest_live_generation");
 
   // Three exemplars in distinct latency buckets: a replayable generation, a
-  // soon-stale generation, and a legacy recording with no generation. The
-  // generation rides in shifted by one so the real generation 0 stays
-  // distinguishable from "unknown".
-  telemetry.RecordRequest(80.0, true, false, false, false, false,
-                          /*request_id=*/41, /*generation_plus_one=*/3);
-  telemetry.RecordRequest(900.0, true, false, false, false, false,
-                          /*request_id=*/42, /*generation_plus_one=*/8);
-  telemetry.RecordRequest(9000.0, true, false, false, false, false,
-                          /*request_id=*/43, /*generation_plus_one=*/0);
-  // The real generation 0 (gen_p1 == 1) is replayable, not "unknown" —
-  // before any rebuild retires it, its exemplar must link the replay.
-  telemetry.RecordRequest(90000.0, true, false, false, false, false,
-                          /*request_id=*/44, /*generation_plus_one=*/1);
+  // soon-stale generation, and the real generation 0.
+  SuggestionRequest request = ExplainRequest("sun", kNoUser);
+  const StatusOr<std::vector<Suggestion>> served = std::vector<Suggestion>{};
+  auto record = [&](uint64_t id, double latency_us, uint64_t generation) {
+    obs::RequestRecord r;
+    r.id = id;
+    r.request = &request;
+    r.generation = generation;
+    r.result = &served;
+    r.stages[0].count = 1;
+    r.stages[0].wall_ns = static_cast<int64_t>(latency_us * 1e3);
+    telemetry.Record(r);
+  };
+  record(/*id=*/41, 80.0, /*generation=*/2);
+  record(/*id=*/42, 900.0, /*generation=*/7);
+  // The real generation 0 is replayable — before any rebuild retires it,
+  // its exemplar must link the replay.
+  record(/*id=*/44, 90000.0, /*generation=*/0);
   std::string initial = telemetry.StatuszJson();
   EXPECT_NE(initial.find("\"replay\":\"suggest_cli replay 44\""),
             std::string::npos);
@@ -637,20 +642,15 @@ TEST(ExemplarAgingTest, StaleGenerationDropsFromStatusz) {
             std::string::npos);
   EXPECT_NE(fresh.find("\"replay\":\"suggest_cli replay 42\""),
             std::string::npos);
-  // The unknown-generation exemplar is listed without a replay link.
-  EXPECT_NE(fresh.find("\"request_id\":43"), std::string::npos);
-  EXPECT_EQ(fresh.find("\"replay\":\"suggest_cli replay 43\""),
-            std::string::npos);
 
   // Generation 2 leaves the replay ring: its exemplar ages out of the
-  // scrape entirely; the newer one and the unknown-generation one survive.
+  // scrape entirely; the newer one survives.
   oldest_live.Set(5.0);
   std::string aged = telemetry.StatuszJson();
   EXPECT_EQ(aged.find("\"request_id\":41"), std::string::npos);
   EXPECT_EQ(aged.find("\"request_id\":44"), std::string::npos);
   EXPECT_NE(aged.find("\"replay\":\"suggest_cli replay 42\""),
             std::string::npos);
-  EXPECT_NE(aged.find("\"request_id\":43"), std::string::npos);
 
   oldest_live.Set(0.0);  // leave the global gauge inert for other tests
 }

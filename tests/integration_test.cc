@@ -11,7 +11,7 @@
 #include "core/pqsda_engine.h"
 #include "eval/diversity.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/stage_profiler.h"
 #include "eval/harness.h"
 #include "eval/hpr.h"
 #include "eval/ppr.h"
@@ -198,23 +198,26 @@ TEST_F(IntegrationTest, SuggestStatsReportsAllPipelineStages) {
   EXPECT_TRUE(stats.personalized);
   EXPECT_EQ(stats.suggestions_returned, out->size());
 
-  // The trace tree contains all four pipeline stages with nonzero
+  // The request record carries all four pipeline stages with nonzero
   // durations...
-  EXPECT_EQ(stats.trace.name, "suggest");
+  const obs::StageCost& request =
+      stats.stages[static_cast<size_t>(obs::ProfileStage::kRequest)];
   int64_t stage_ns = 0;
-  for (const char* stage : {"expansion", "regularization_solve",
-                            "hitting_time_selection", "personalization"}) {
-    const obs::SpanNode* span = stats.trace.Find(stage);
-    ASSERT_NE(span, nullptr) << "missing stage span: " << stage;
-    EXPECT_GT(span->duration_ns, 0) << stage;
-    stage_ns += span->duration_ns;
+  for (obs::ProfileStage stage :
+       {obs::ProfileStage::kExpansion, obs::ProfileStage::kSolve,
+        obs::ProfileStage::kSelection, obs::ProfileStage::kPersonalization}) {
+    const obs::StageCost& cost = stats.stages[static_cast<size_t>(stage)];
+    ASSERT_EQ(cost.count, 1u)
+        << "missing stage: " << obs::ProfileStageName(stage);
+    EXPECT_GT(cost.wall_ns, 0) << obs::ProfileStageName(stage);
+    stage_ns += cost.wall_ns;
   }
   // ...and the stages account for the request end to end: their summed
-  // wall time is within 20% of the root span's.
-  ASSERT_GT(stats.trace.duration_ns, 0);
-  EXPECT_LE(stage_ns, stats.trace.duration_ns);
+  // wall time is within 20% of the whole request's.
+  ASSERT_GT(request.wall_ns, 0);
+  EXPECT_LE(stage_ns, request.wall_ns);
   EXPECT_GE(static_cast<double>(stage_ns),
-            0.8 * static_cast<double>(stats.trace.duration_ns));
+            0.8 * static_cast<double>(request.wall_ns));
 
   // The expansion/solver/selection counters rode along.
   EXPECT_GT(stats.compact_size, 0u);
@@ -249,12 +252,17 @@ TEST_F(IntegrationTest, SuggestStatsSurviveDiversificationOnlyMode) {
   ASSERT_TRUE(out.ok());
 
   EXPECT_FALSE(stats.personalized);
-  EXPECT_EQ(stats.trace.Find("personalization"), nullptr);
-  for (const char* stage :
-       {"expansion", "regularization_solve", "hitting_time_selection"}) {
-    const obs::SpanNode* span = stats.trace.Find(stage);
-    ASSERT_NE(span, nullptr) << "missing stage span: " << stage;
-    EXPECT_GT(span->duration_ns, 0) << stage;
+  EXPECT_EQ(stats.stages[static_cast<size_t>(
+                             obs::ProfileStage::kPersonalization)]
+                .count,
+            0u);
+  for (obs::ProfileStage stage :
+       {obs::ProfileStage::kExpansion, obs::ProfileStage::kSolve,
+        obs::ProfileStage::kSelection}) {
+    const obs::StageCost& cost = stats.stages[static_cast<size_t>(stage)];
+    ASSERT_EQ(cost.count, 1u)
+        << "missing stage: " << obs::ProfileStageName(stage);
+    EXPECT_GT(cost.wall_ns, 0) << obs::ProfileStageName(stage);
   }
   EXPECT_GT(stats.compact_size, 0u);
   EXPECT_TRUE(stats.solve.converged);

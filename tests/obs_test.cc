@@ -1,9 +1,10 @@
 // The observability subsystem: counter/gauge/histogram semantics,
-// percentile math against known distributions, nested span trees,
-// thread-safety of concurrent recording, and the JSON/Prometheus exports
-// (golden output). run_benches.sh additionally runs this binary under
-// ThreadSanitizer (-DPQSDA_ENABLE_TSAN=ON) to race-check the atomic
-// counters and the thread-local span stack.
+// percentile math against known distributions, thread-safety of concurrent
+// recording, the JSON/Prometheus exports (golden output), and the
+// per-request record (thread-local stage costs, its /tracez rendering).
+// run_benches.sh additionally runs this binary under ThreadSanitizer
+// (-DPQSDA_ENABLE_TSAN=ON) to race-check the atomic counters and the
+// thread-local stage accumulators.
 
 #include <thread>
 #include <vector>
@@ -12,7 +13,8 @@
 
 #include "common/timer.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/stage_profiler.h"
+#include "obs/telemetry.h"
 
 namespace pqsda::obs {
 namespace {
@@ -204,121 +206,82 @@ TEST(MetricsRegistryTest, PrometheusCumulativeBucketsRoundTrip) {
   EXPECT_EQ(cumulative.back(), h.Count());
 }
 
-// -------------------------------------------------------------- spans ----
+// ---------------------------------------------------- request record ----
 
-TEST(TraceTest, NoCollectorMeansInactiveSpans) {
-  EXPECT_FALSE(TraceActive());
-  TraceSpan span("orphan");
-  EXPECT_FALSE(span.active());
-}
-
-TEST(TraceTest, NestedSpansFormTree) {
-  TraceCollector collector("root");
-  EXPECT_TRUE(TraceActive());
-  {
-    TraceSpan outer("outer");
-    outer.Annotate("k", std::string("v"));
-    {
-      TraceSpan inner1("inner1");
-      WallTimer spin;
-      while (spin.ElapsedMicros() < 200) {
-      }
-    }
-    { TraceSpan inner2("inner2"); }
-  }
-  { TraceSpan sibling("sibling"); }
-  SpanNode root = collector.Take();
-  EXPECT_FALSE(TraceActive());
-
-  EXPECT_EQ(root.name, "root");
-  ASSERT_EQ(root.children.size(), 2u);
-  const SpanNode& outer = *root.children[0];
-  EXPECT_EQ(outer.name, "outer");
-  ASSERT_EQ(outer.children.size(), 2u);
-  EXPECT_EQ(outer.children[0]->name, "inner1");
-  EXPECT_EQ(outer.children[1]->name, "inner2");
-  EXPECT_EQ(root.children[1]->name, "sibling");
-  EXPECT_EQ(root.TotalSpans(), 5u);
-
-  // inner1 spun for 200us, so its duration and every ancestor's must be
-  // at least that; child time is contained in the parent.
-  EXPECT_GE(outer.children[0]->duration_us(), 200);
-  EXPECT_GE(outer.duration_ns, outer.children[0]->duration_ns);
-  EXPECT_GE(root.duration_ns, outer.duration_ns);
-  EXPECT_GE(outer.ChildDurationNs(), outer.children[0]->duration_ns);
-
-  // Find is depth-first over the whole tree.
-  ASSERT_NE(root.Find("inner2"), nullptr);
-  EXPECT_EQ(root.Find("inner2")->name, "inner2");
-  EXPECT_EQ(root.Find("absent"), nullptr);
-  ASSERT_EQ(outer.annotations.size(), 1u);
-  EXPECT_EQ(outer.annotations[0].first, "k");
-  EXPECT_EQ(outer.annotations[0].second, "v");
-}
-
-TEST(TraceTest, CollectorsNestAndRestore) {
-  TraceCollector outer("outer");
-  {
-    TraceSpan before("before");
-  }
-  {
-    TraceCollector inner("inner");
-    {
-      TraceSpan span("in_inner");
-      EXPECT_TRUE(span.active());
-    }
-    SpanNode tree = inner.Take();
-    EXPECT_EQ(tree.children.size(), 1u);
-  }
-  // After the inner collector finishes, spans attach to the outer trace
-  // again.
-  { TraceSpan after("after"); }
-  SpanNode root = outer.Take();
-  ASSERT_EQ(root.children.size(), 2u);
-  EXPECT_EQ(root.children[0]->name, "before");
-  EXPECT_EQ(root.children[1]->name, "after");
-}
-
-TEST(TraceTest, ThreadsTraceIndependently) {
-  // Each thread installs its own collector; spans must never cross threads.
+TEST(RequestRecordTest, ThreadsRecordIndependently) {
+  // Each thread brackets its own requests; stage costs must never cross
+  // threads or leak from one request into the next.
   constexpr int kThreads = 4;
-  std::vector<SpanNode> roots(kThreads);
+  StageProfiler profiler;
+  std::vector<int> clean(kThreads, 0);
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([t, &roots] {
-      TraceCollector collector("thread" + std::to_string(t));
+    workers.emplace_back([t, &profiler, &clean] {
       for (int i = 0; i < 50; ++i) {
-        TraceSpan span("work");
-        TraceSpan nested("nested");
+        StageCosts costs;
+        profiler.BeginRequest();
+        {
+          StageScope expansion(ProfileStage::kExpansion);
+          StageScope nested(ProfileStage::kSolve);
+          StageProfiler::AddWork(ProfileStage::kSelection,
+                                 static_cast<uint64_t>(t + 1));
+        }
+        profiler.EndRequest(/*rung=*/0, &costs);
+        const StageCost& request =
+            costs[static_cast<size_t>(ProfileStage::kRequest)];
+        const StageCost& expansion =
+            costs[static_cast<size_t>(ProfileStage::kExpansion)];
+        if (request.count == 1 && expansion.count == 1 &&
+            costs[static_cast<size_t>(ProfileStage::kSolve)].count == 1 &&
+            costs[static_cast<size_t>(ProfileStage::kSelection)].work ==
+                static_cast<uint64_t>(t + 1) &&
+            expansion.wall_ns <= request.wall_ns) {
+          ++clean[t];
+        }
       }
-      roots[t] = collector.Take();
     });
   }
   for (auto& w : workers) w.join();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(roots[t].name, "thread" + std::to_string(t));
-    EXPECT_EQ(roots[t].children.size(), 50u);
-    EXPECT_EQ(roots[t].TotalSpans(), 101u);
-  }
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(clean[t], 50) << t;
 }
 
-TEST(TraceTest, RenderAndJson) {
-  TraceCollector collector("root");
-  {
-    TraceSpan span("stage");
-    span.Annotate("n", static_cast<int64_t>(3));
-  }
-  SpanNode root = collector.Take();
-  std::string rendered = root.Render();
-  EXPECT_NE(rendered.find("root"), std::string::npos);
-  EXPECT_NE(rendered.find("stage"), std::string::npos);
-  EXPECT_NE(rendered.find("n=3"), std::string::npos);
+TEST(RequestRecordTest, TracezEntryRendersStages) {
+  ServingTelemetryOptions options;
+  options.quality_sample_every = 0;
+  ServingTelemetry telemetry(options);
+  SuggestionRequest request;
+  request.query = "sun";
+  const StatusOr<std::vector<Suggestion>> served =
+      std::vector<Suggestion>{{"sun java", 2.0}, {"solar energy", 1.0}};
 
-  std::string json = root.ToJson();
-  EXPECT_NE(json.find("\"name\":\"root\""), std::string::npos);
-  EXPECT_NE(json.find("\"children\":[{\"name\":\"stage\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"annotations\":{\"n\":\"3\"}"), std::string::npos);
+  RequestRecord record;
+  record.id = 7;
+  record.request = &request;
+  record.k = 2;
+  record.generation = 3;
+  record.traced = true;
+  record.result = &served;
+  record.stages[static_cast<size_t>(ProfileStage::kRequest)] = {1, 5'400'000,
+                                                               0, 0};
+  record.stages[static_cast<size_t>(ProfileStage::kExpansion)] = {
+      1, 2'000'999, 1'500'000, 40};
+  telemetry.Record(record);
+
+  const std::string json = telemetry.TracezJson();
+  EXPECT_NE(
+      json.find("\"request_id\":7,\"query\":\"sun\",\"total_us\":5400"),
+      std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"generation\":3"), std::string::npos);
+  EXPECT_NE(json.find("\"stages\":{\"expansion\":{\"wall_us\":2000,"
+                      "\"cpu_us\":1500,\"work\":40}}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(record.StageMicros(),
+            (std::vector<std::pair<std::string, int64_t>>{{"expansion",
+                                                           2000}}));
+  EXPECT_NE(record.Fingerprint(), 0u);
+  EXPECT_EQ(telemetry.requests().SumOver(60'000'000'000), 1u);
 }
 
 TEST(ScopedTimerTest, RecordsIntoHistogramOnDestruction) {

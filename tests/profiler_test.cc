@@ -1,6 +1,7 @@
 // The deep performance-attribution surface: StageProfiler windowed
-// per-stage/per-rung cost attribution (unit tests on a fake clock plus the
-// acceptance reconciliation of /profilez against SuggestStats traces),
+// per-stage/per-rung cost attribution (unit tests on a fake clock, the
+// rebuild lane, the reconciliation of /profilez against SuggestStats, and
+// one request's record showing the same stage times in every sink),
 // exemplar-linked latency buckets resolving to /tracez or the request log,
 // the burn-rate SLO state machine driven end to end through fault-injected
 // load shedding at /alertz, and the online quality telemetry (Simpson's
@@ -10,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstdint>
 #include <cstdio>
@@ -25,6 +27,7 @@
 #include "core/pqsda_engine.h"
 #include "eval/diversity.h"
 #include "obs/http_exporter.h"
+#include "obs/metrics.h"
 #include "obs/quality.h"
 #include "obs/request_log.h"
 #include "obs/slo.h"
@@ -207,6 +210,48 @@ TEST(StageProfilerTest, ProfilezJsonIsAFlameTreeWithSelfLeaves) {
   EXPECT_EQ(json.find("rung_cache_only"), std::string::npos);
 }
 
+TEST(StageProfilerTest, DisabledProfilerStillTimesTheRecord) {
+  FakeClock clock;
+  StageProfiler profiler(clock.Options());
+  profiler.SetEnabled(false);
+
+  obs::StageCosts costs;
+  profiler.BeginRequest();
+  {
+    StageScope scope(ProfileStage::kSolve);
+    StageProfiler::AddWork(ProfileStage::kSolve, 3);
+  }
+  profiler.EndRequest(0, &costs);
+
+  // The record gets wall time and work, but no thread-CPU time...
+  EXPECT_EQ(costs[Idx(ProfileStage::kRequest)].count, 1u);
+  EXPECT_EQ(costs[Idx(ProfileStage::kSolve)].count, 1u);
+  EXPECT_EQ(costs[Idx(ProfileStage::kSolve)].work, 3u);
+  EXPECT_EQ(costs[Idx(ProfileStage::kSolve)].cpu_ns, 0);
+  EXPECT_LE(costs[Idx(ProfileStage::kSolve)].wall_ns,
+            costs[Idx(ProfileStage::kRequest)].wall_ns);
+  // ...and nothing folds into the window.
+  EXPECT_EQ(profiler.SnapshotOver(kSecond)
+                .total[Idx(ProfileStage::kRequest)]
+                .count,
+            0u);
+}
+
+TEST(StageProfilerTest, ScopeHistogramRecordsInsideAndOutsideABracket) {
+  FakeClock clock;
+  StageProfiler profiler(clock.Options());
+  obs::Histogram histogram(obs::Histogram::DefaultLatencyBoundsUs());
+  { StageScope scope(ProfileStage::kSessionize, &histogram); }
+  EXPECT_EQ(histogram.Count(), 1u);
+
+  obs::StageCosts costs;
+  profiler.BeginRequest();
+  { StageScope scope(ProfileStage::kSessionize, &histogram); }
+  profiler.EndRequest(obs::kProfileRebuildLane, &costs);
+  EXPECT_EQ(histogram.Count(), 2u);
+  EXPECT_EQ(costs[Idx(ProfileStage::kSessionize)].count, 1u);
+}
+
 // --------------------------------------- quality telemetry ----
 
 TEST(SimpsonDiversityTest, KnownValues) {
@@ -342,15 +387,6 @@ std::string TempPath(const std::string& name) {
          std::to_string(::getpid()) + ".jsonl";
 }
 
-// Sums the durations of every span named `name` in the trace tree.
-int64_t SpanDurationUs(const obs::SpanNode& node, const std::string& name) {
-  int64_t total = node.name == name ? node.duration_us() : 0;
-  for (const auto& child : node.children) {
-    total += SpanDurationUs(*child, name);
-  }
-  return total;
-}
-
 // |a - b| within 30% of the larger plus an absolute floor — wall clocks
 // bracketing the same block from slightly different nesting depths.
 void ExpectReconciled(int64_t profiler_us, int64_t trace_us,
@@ -363,10 +399,9 @@ void ExpectReconciled(int64_t profiler_us, int64_t trace_us,
       << "us";
 }
 
-// The acceptance test of the attribution tentpole: per-stage totals in the
-// profiler's window must reconcile with the same requests' SuggestStats
-// traces — identical counts, identical work units, and wall time within
-// tolerance of the trace spans bracketing the same code.
+// Per-stage totals in the profiler's window must reconcile with the same
+// requests' SuggestStats — identical counts, identical work units, and wall
+// time within tolerance (both now read the one request record).
 TEST(ProfilerReconciliationTest, ProfilezTotalsMatchSuggestStats) {
   StageProfiler& profiler = StageProfiler::Install({});
 
@@ -396,10 +431,10 @@ TEST(ProfilerReconciliationTest, ProfilezTotalsMatchSuggestStats) {
         ProfilerRequest(queries[i % queries.size()], /*user=*/1), 5, &stats);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     trace_request_us += stats.total_us();
-    trace_expansion_us += SpanDurationUs(stats.trace, "expansion");
-    trace_solve_us += SpanDurationUs(stats.trace, "regularization_solve");
-    trace_selection_us += SpanDurationUs(stats.trace, "hitting_time_selection");
-    trace_personalization_us += SpanDurationUs(stats.trace, "personalization");
+    trace_expansion_us += stats.stage_us(ProfileStage::kExpansion);
+    trace_solve_us += stats.stage_us(ProfileStage::kSolve);
+    trace_selection_us += stats.stage_us(ProfileStage::kSelection);
+    trace_personalization_us += stats.stage_us(ProfileStage::kPersonalization);
     walk_steps += stats.expansion.walk_steps;
     solve_iterations += stats.solve.iterations;
     candidates_scored += stats.candidates_scored;
@@ -426,8 +461,7 @@ TEST(ProfilerReconciliationTest, ProfilezTotalsMatchSuggestStats) {
             candidates_scored);
   EXPECT_GT(snap.total[Idx(ProfileStage::kPersonalization)].work, 0u);
 
-  // Wall time: the profiler's scopes and the trace spans bracket the same
-  // blocks.
+  // Wall time: the profiler's window and the stats read the same scopes.
   ExpectReconciled(snap.total[Idx(ProfileStage::kRequest)].wall_ns / 1000,
                    trace_request_us, "request");
   ExpectReconciled(snap.total[Idx(ProfileStage::kExpansion)].wall_ns / 1000,
@@ -460,6 +494,157 @@ TEST(ProfilerReconciliationTest, ProfilezTotalsMatchSuggestStats) {
         << stage;
   }
   EXPECT_NE(json.find("\"count\":" + std::to_string(kRequests)),
+            std::string::npos);
+}
+
+// The number right after `"key":` at or after `from` in a JSON body;
+// NaN when absent.
+double JsonNumberAfter(const std::string& json, const std::string& key,
+                       size_t from = 0) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t pos = json.find(needle, from);
+  if (pos == std::string::npos) return std::nan("");
+  return std::strtod(json.c_str() + pos + needle.size(), nullptr);
+}
+
+PqsdaEngineConfig SmallUpmConfig() {
+  PqsdaEngineConfig config;
+  config.upm.base.num_topics = 4;
+  config.upm.base.gibbs_iterations = 10;
+  config.upm.hyper_rounds = 1;
+  return config;
+}
+
+// The one-record contract: a request sampled into /tracez, /explainz and
+// the request log shows the same per-stage wall times and total in all
+// three, and /profilez (a fresh profiler that saw only this request) shows
+// them at its JSON precision.
+TEST(RequestRecordTest, EverySinkShowsTheSameStageTimes) {
+  StageProfiler& profiler = StageProfiler::Install({});
+  obs::ServingTelemetryOptions options;
+  options.trace_sample_every = 1;
+  options.explain_sample_every = 1;
+  obs::ServingTelemetry& telemetry = obs::ServingTelemetry::Install(options);
+  const std::string log_path = TempPath("one_record");
+  std::remove(log_path.c_str());
+  obs::RequestLogOptions log_options;
+  log_options.path = log_path;
+  log_options.sample_every = 1;
+  auto opened = obs::RequestLog::Open(log_options);
+  ASSERT_TRUE(opened.ok());
+  telemetry.AttachRequestLog(std::move(opened).value());
+
+  PqsdaEngineConfig config = SmallUpmConfig();
+  config.cache_capacity = 16;
+  auto engine = PqsdaEngine::Build(ProfilerLog(), config);
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE((*engine)->Suggest(ProfilerRequest("sun", /*user=*/1), 5).ok());
+  telemetry.request_log()->Flush();
+
+  auto entries = obs::ReadRequestLog(log_path, 0);
+  ASSERT_TRUE(entries.ok());
+  ASSERT_EQ(entries->size(), 1u);
+  const obs::RequestLogEntry& logged = entries->front();
+  std::shared_ptr<const obs::ExplainRecord> explained =
+      telemetry.explain_store().Find(logged.request_id);
+  ASSERT_NE(explained, nullptr);
+  const std::string tracez = telemetry.TracezJson();
+  const size_t trace_at = tracez.find(
+      "\"request_id\":" + std::to_string(logged.request_id) + ",");
+  ASSERT_NE(trace_at, std::string::npos) << tracez;
+  const std::string profilez = profiler.ProfilezJson(300 * kSecond);
+  const size_t rung_at = profilez.find("\"name\":\"rung_full\"");
+  ASSERT_NE(rung_at, std::string::npos) << profilez;
+
+  // A cache miss through the personalized pipeline runs every serving stage.
+  const std::vector<std::pair<std::string, int64_t>>& stages = logged.stage_us;
+  std::vector<std::string> names;
+  for (const auto& [name, us] : stages) names.push_back(name);
+  EXPECT_EQ(names, (std::vector<std::string>{"cache", "expansion", "solve",
+                                             "selection", "personalization"}));
+  EXPECT_EQ(explained->stage_us, stages);
+  EXPECT_EQ(explained->total_us, logged.total_us);
+  EXPECT_EQ(JsonNumberAfter(tracez, "total_us", trace_at),
+            static_cast<double>(logged.total_us));
+  auto near_profilez = [](double profilez_us, int64_t us) {
+    // %.6g of the exact ns/1000 vs its floor.
+    return std::fabs(profilez_us - static_cast<double>(us)) <=
+           1.0 + 1e-5 * static_cast<double>(us);
+  };
+  EXPECT_TRUE(near_profilez(JsonNumberAfter(profilez, "wall_us", rung_at),
+                            logged.total_us))
+      << profilez;
+  for (const auto& [name, us] : stages) {
+    EXPECT_EQ(JsonNumberAfter(tracez, "wall_us",
+                              tracez.find("\"" + name + "\":{", trace_at)),
+              static_cast<double>(us))
+        << name;
+    const size_t leaf =
+        profilez.find("\"name\":\"" + name + "\"", rung_at);
+    ASSERT_NE(leaf, std::string::npos) << name;
+    EXPECT_EQ(JsonNumberAfter(profilez, "count", leaf), 1.0) << name;
+    EXPECT_TRUE(near_profilez(JsonNumberAfter(profilez, "wall_us", leaf), us))
+        << name << ": " << profilez;
+  }
+  telemetry.AttachRequestLog(nullptr);
+  std::remove(log_path.c_str());
+}
+
+// Post-swap warmup replays requests on the rebuild thread, but after the
+// rebuild bracket closed: none of its serving stages fold into the rebuild
+// lane.
+TEST(StageProfilerTest, WarmupRunsOutsideTheRebuildLane) {
+  const std::string warm_path = TempPath("warmup");
+  {
+    obs::RequestLogEntry entry;
+    entry.query = "sun";
+    entry.k = 5;
+    entry.user = kNoUser;
+    entry.timestamp = 400;
+    std::ofstream out(warm_path, std::ios::trunc);
+    out << obs::RequestLog::ToJson(entry) << "\n";
+  }
+  PqsdaEngineConfig config;
+  config.personalize = false;
+  config.cache_capacity = 16;
+  config.cache_warmup.log_path = warm_path;
+  auto engine = PqsdaEngine::Build(ProfilerLog(), config);
+  ASSERT_TRUE(engine.ok());
+
+  StageProfiler& profiler = StageProfiler::Install({});
+  obs::Counter& replayed = obs::MetricsRegistry::Default().GetCounter(
+      "pqsda.cache.warmup_replayed_total");
+  const uint64_t replayed0 = replayed.Value();
+  ASSERT_TRUE((*engine)->Ingest({7, "sun", "www.nasa.gov", 500}).ok());
+  ASSERT_TRUE((*engine)->index_manager().RebuildNow().ok());
+  ASSERT_EQ(replayed.Value(), replayed0 + 1);  // the warmup really ran
+
+  const auto& lane =
+      profiler.SnapshotOver(300 * kSecond).per_rung[obs::kProfileRebuildLane];
+  EXPECT_EQ(lane[Idx(ProfileStage::kRequest)].count, 1u);
+  EXPECT_EQ(lane[Idx(ProfileStage::kPublish)].count, 1u);
+  for (ProfileStage stage :
+       {ProfileStage::kCache, ProfileStage::kExpansion, ProfileStage::kSolve,
+        ProfileStage::kSelection, ProfileStage::kPersonalization}) {
+    EXPECT_EQ(lane[Idx(stage)].count, 0u) << obs::ProfileStageName(stage);
+  }
+  std::remove(warm_path.c_str());
+}
+
+TEST(StageProfilerTest, PersonalizedRebuildFoldsOneUpmTrain) {
+  auto engine = PqsdaEngine::Build(ProfilerLog(), SmallUpmConfig());
+  ASSERT_TRUE(engine.ok());
+  StageProfiler& profiler = StageProfiler::Install({});
+  ASSERT_TRUE((*engine)->Ingest({7, "sun", "www.nasa.gov", 500}).ok());
+  ASSERT_TRUE((*engine)->index_manager().RebuildNow().ok());
+
+  const auto& lane =
+      profiler.SnapshotOver(300 * kSecond).per_rung[obs::kProfileRebuildLane];
+  EXPECT_EQ(lane[Idx(ProfileStage::kRequest)].count, 1u);
+  EXPECT_EQ(lane[Idx(ProfileStage::kUpmTrain)].count, 1u);
+  // graph_build covers representation + corpus; the UPM has its own stage.
+  EXPECT_EQ(lane[Idx(ProfileStage::kGraphBuild)].count, 2u);
+  EXPECT_NE(profiler.ProfilezJson(300 * kSecond).find("\"upm_train\""),
             std::string::npos);
 }
 

@@ -363,15 +363,21 @@ TEST(SuggestionCacheTest, HitResetsReusedStats) {
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(stats.personalized);
   EXPECT_GT(stats.hitting_rounds, 0u);
-  EXPECT_GT(stats.trace.TotalSpans(), 1u);
+  auto stage_count = [&stats](obs::ProfileStage stage) {
+    return stats.stages[static_cast<size_t>(stage)].count;
+  };
+  EXPECT_EQ(stage_count(obs::ProfileStage::kExpansion), 1u);
 
   auto second = engine->Suggest(ServingRequest("sun", 1), 5, &stats);
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(stats.personalized);
   EXPECT_EQ(stats.hitting_rounds, 0u);
   EXPECT_EQ(stats.candidates_scored, 0u);
-  EXPECT_EQ(stats.trace.TotalSpans(), 1u);  // empty root, no stage spans
-  EXPECT_EQ(stats.total_us(), 0);
+  // Only the cache stage ran; no pipeline stage time of the first request
+  // survives.
+  EXPECT_EQ(stage_count(obs::ProfileStage::kCache), 1u);
+  EXPECT_EQ(stage_count(obs::ProfileStage::kExpansion), 0u);
+  EXPECT_EQ(stage_count(obs::ProfileStage::kPersonalization), 0u);
   EXPECT_EQ(stats.suggestions_returned, second->size());
 }
 

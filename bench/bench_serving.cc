@@ -23,34 +23,34 @@
 // never blocks on a rebuild. Emits BENCH_ingest.json.
 //
 // Finally measures the stage profiler's own cost: the same request storm
-// with StageProfiler disabled vs enabled, alternating min-of-N passes to
-// cancel drift, gated on the p95 (the profiler must not move tail
-// latency). Emits BENCH_profile.json with overhead_pct and gate_pass;
+// with StageProfiler disabled vs enabled in interleaved pairs, gated on the
+// p95 (the profiler must not move tail latency) by PairedOverheadGate
+// (bench_util.h): the gate fails only when the bootstrap lower bound of the
+// median paired overhead exceeds the budget. Emits BENCH_profile.json;
 // run_benches.sh fails the stage when the gate doesn't hold.
 //
 // Then the explain layer's cost the same way: the storm with explain
 // disabled (the default — one atomic load at admission, one thread-local
-// read per seam) measured before vs after full-capture storms armed the
-// subsystem and filled the /explainz ring. That residual-cost delta is
-// gated at <=1% + 50us on the p95 (the "zero cost when disabled"
-// contract); head-sampled 1/32 and worst-case every-request p95s are
-// reported ungated. Emits BENCH_explain.json; run_benches.sh enforces
-// the gate.
+// read per seam) right after a burst that armed the subsystem and filled
+// the /explainz ring vs right after a placebo burst. That residual cost is
+// gated at <=1% + 50us plus the host's noise floor on the p95 (the "zero
+// cost when disabled" contract); head-sampled 1/32 and worst-case
+// every-request p95s are reported ungated. Emits BENCH_explain.json;
+// run_benches.sh enforces the gate.
 //
-// Closes with the adaptive-cache scenario: a purpose-built corpus of many
-// small disconnected clusters served under a Zipf head with one-shot scan
-// pollution and swap churn from localized ingest deltas. Two gated
-// verdicts in BENCH_cache.json: the better of ARC/CAR must match-or-beat
-// LRU's hit rate under the scan traffic, and delta-aware validation must
-// retain >= 1.3x the hits of whole-generation keying across the same swap
-// schedule. run_benches.sh enforces both.
+// Closes with the delta-aware cache scenario: a purpose-built corpus of
+// many small disconnected clusters served under a Zipf head with swap churn
+// from localized ingest deltas. The gated verdict in BENCH_cache.json:
+// delta-aware validation must retain >= 1.3x the hits of whole-generation
+// keying across the same swap schedule. run_benches.sh enforces it.
 //
 // Scale knobs: PQSDA_USERS (default 150), PQSDA_TESTS (default 200 serving
 // requests), PQSDA_SERVE_THREADS (batch pool size, default 4),
 // PQSDA_CACHE (cache capacity for the cached runs, default 512),
 // PQSDA_OVERLOAD_DEADLINE_MS (per-request budget in the overload burst,
-// default 400), PQSDA_CACHE_OPS / PQSDA_CACHE_POLICY_CAP (cache-scenario
-// workload length and scan-run capacity, defaults 1200 / 24).
+// default 400), PQSDA_PROFILE_REPS (interleaved pairs per overhead gate,
+// default 10), PQSDA_CACHE_OPS (cache-scenario workload length, default
+// 1200).
 
 #include <algorithm>
 #include <atomic>
@@ -146,6 +146,17 @@ std::vector<double> TimedPass(const PqsdaEngine& engine,
     us.push_back(1e6 * Seconds(t0, std::chrono::steady_clock::now()));
   }
   return us;
+}
+
+// Prints one gate's pairs as off/on p95s, so a verdict can be read against
+// the measurements behind it.
+void PrintPairs(const std::vector<double>& off_us,
+                const std::vector<double>& on_us) {
+  std::printf("  pairs (off/on p95 us):");
+  for (size_t i = 0; i < off_us.size() && i < on_us.size(); ++i) {
+    std::printf(" %.0f/%.0f", off_us[i], on_us[i]);
+  }
+  std::printf("\n");
 }
 
 // Extracts the numeric value following `"key":` in a JSON blob (first
@@ -679,32 +690,41 @@ void Main() {
   }
 
   // --- profiling overhead: the same storm, profiler off vs on ----------
-  // Alternating min-of-N sequential passes cancel thermal and cache drift;
-  // the gate is on the p95 because tail latency is the number the stage
-  // scopes must not move. Scopes are two clock reads into a thread-local,
-  // so the budget is tight: 2%, plus a small absolute floor so
-  // sub-millisecond requests aren't gated on scheduler jitter.
+  // Interleaved off/on pairs, alternating which side runs first, so host
+  // drift (thermal, neighbours) lands on both sides of a pair; the gate is
+  // on the p95 because tail latency is the number the stage scopes must not
+  // move. Scopes are two clock reads into a thread-local, so the budget is
+  // tight: 2%, plus 50us so sub-millisecond requests aren't gated on
+  // scheduler jitter. PairedOverheadGate fails only when the bootstrap lower
+  // bound of the median paired overhead is above that budget.
   obs::StageProfiler& profiler = obs::StageProfiler::Default();
-  const size_t profile_reps = EnvSize("PROFILE_REPS", 3);
+  const size_t gate_pairs = EnvSize("PROFILE_REPS", 10);
   std::printf("\nprofiling overhead: %zu-request storm, profiler off vs on, "
-              "min over %zu alternating passes each\n",
-              zipf.size(), profile_reps);
+              "%zu interleaved pairs\n",
+              zipf.size(), gate_pairs);
   (void)TimedPass(engine, zipf, k);  // warm
-  double p95_off = 1e300;
-  double p95_on = 1e300;
-  for (size_t rep = 0; rep < profile_reps; ++rep) {
-    profiler.SetEnabled(false);
-    p95_off = std::min(p95_off, Percentile(TimedPass(engine, zipf, k), 95));
-    profiler.SetEnabled(true);
-    p95_on = std::min(p95_on, Percentile(TimedPass(engine, zipf, k), 95));
+  std::vector<double> p95_off;
+  std::vector<double> p95_on;
+  for (size_t pair = 0; pair < gate_pairs; ++pair) {
+    for (bool on : {pair % 2 == 1, pair % 2 == 0}) {
+      profiler.SetEnabled(on);
+      (on ? p95_on : p95_off)
+          .push_back(Percentile(TimedPass(engine, zipf, k), 95));
+    }
   }
   profiler.SetEnabled(true);  // leave the default profiler live
-  const double overhead_pct =
-      p95_off > 0.0 ? 100.0 * (p95_on - p95_off) / p95_off : 0.0;
-  const bool gate_pass = p95_on <= p95_off * 1.02 + 50.0;
-  std::printf("  p95 profiler off: %9.0fus   on: %9.0fus   overhead: "
-              "%+.2f%%  gate(<=2%%+50us): %s\n",
-              p95_off, p95_on, overhead_pct, gate_pass ? "pass" : "FAIL");
+  const OverheadVerdict profile_gate =
+      PairedOverheadGate(p95_off, p95_on, /*budget_pct=*/2.0,
+                         /*budget_us=*/50.0);
+  const double p95_off_median = MedianOf(p95_off);
+  const double p95_on_median = MedianOf(p95_on);
+  std::printf("  median p95 profiler off: %9.0fus   on: %9.0fus   median "
+              "overhead: %+.2f%%  95%% lower bound: %+.2f%%  "
+              "gate(<=2%%+50us = %.2f%%): %s\n",
+              p95_off_median, p95_on_median, profile_gate.median_overhead_pct,
+              profile_gate.lower_bound_pct, profile_gate.budget_pct,
+              profile_gate.pass ? "pass" : "FAIL");
+  PrintPairs(p95_off, p95_on);
 
   // The profiled passes must actually have been attributed: /profilez over
   // the trailing minute has to show the storm in its root count.
@@ -719,14 +739,18 @@ void Main() {
     std::snprintf(
         buf, sizeof(buf),
         "{\n  \"bench\": \"serving_profile_overhead\",\n"
-        "  \"offered\": %zu,\n  \"reps\": %zu,\n"
+        "  \"offered\": %zu,\n  \"pairs\": %zu,\n"
         "  \"p95_profiler_off_us\": %.1f,\n"
         "  \"p95_profiler_on_us\": %.1f,\n"
-        "  \"overhead_pct\": %.3f,\n"
+        "  \"median_overhead_pct\": %.3f,\n"
+        "  \"lower_bound_pct\": %.3f,\n"
+        "  \"budget_pct\": %.3f,\n"
         "  \"profilez_root_count\": %.0f,\n"
         "  \"gate_pass\": %s\n}\n",
-        zipf.size(), profile_reps, p95_off, p95_on, overhead_pct,
-        profiled_count, gate_pass ? "true" : "false");
+        zipf.size(), profile_gate.pairs, p95_off_median, p95_on_median,
+        profile_gate.median_overhead_pct, profile_gate.lower_bound_pct,
+        profile_gate.budget_pct, profiled_count,
+        profile_gate.pass ? "true" : "false");
     if (std::FILE* f = std::fopen("BENCH_profile.json", "w")) {
       std::fwrite(buf, 1, std::strlen(buf), f);
       std::fclose(f);
@@ -741,85 +765,61 @@ void Main() {
   // explain_sample_every=0 the request path pays one relaxed atomic load at
   // admission and one thread-local read per seam, nothing else. One binary
   // can't diff itself against a build without the seams, so the gate
-  // measures the disabled path's residual cost: storm p95 with explain off
-  // *before* the subsystem was ever exercised vs *after* full-capture
-  // storms armed it and filled the /explainz ring. Any allocation, ring
-  // contention or atomic cost the armed subsystem leaked into the disabled
-  // path would show here; the budget is <=1% + 50us, widened by the box's
-  // *measured* noise floor. Calibrating that floor needs care: the gated
-  // comparison spans minutes of hot storms, so minute-scale drift (thermal,
-  // container neighbors) lands entirely on the "after" side. The baseline
-  // is therefore measured as two identical halves separated by a *placebo*
-  // arming block — untimed disabled storms of the same shape as the real
-  // arming block — and however far those two same-state minima disagree is
-  // drift the host injects into any before/after comparison on this box,
-  // which a 1% gate cannot resolve and must not fail on. The sampled
-  // (1/32) and worst-case every-request p95s are reported alongside,
-  // ungated — sampled requests pay for the per-chain hitting-time sweeps
-  // they record.
-  const size_t explain_reps = EnvSize("EXPLAIN_REPS", 3);
+  // measures what arming the subsystem leaves behind on the disabled path:
+  // each pair times one disabled storm right after an arming burst (every
+  // request captured, filling the /explainz ring) and one right after a
+  // placebo burst of the same requests with explain off, alternating which
+  // side runs first. Any allocation, ring contention or cache pollution the
+  // armed subsystem leaked into the disabled path shows as the paired
+  // excess. The budget is <=1% + 50us, widened by the noise floor: how far
+  // the placebo side's first and second halves disagree, i.e. the drift
+  // this host puts between same-state measurements. The sampled (1/32) and
+  // every-request p95s are reported alongside, ungated — sampled requests
+  // pay for the per-chain hitting-time sweeps they record.
   std::printf("\nexplain overhead: %zu-request storm, explain disabled "
-              "before vs after arming, min over %zu passes each\n",
-              zipf.size(), explain_reps);
+              "after a placebo vs an arming burst, %zu interleaved pairs\n",
+              zipf.size(), gate_pairs);
   (void)TimedPass(engine, zipf, k);  // warm
-  double explain_p95_off_a = 1e300;
-  double explain_p95_off_b = 1e300;
-  double explain_p95_off_armed = 1e300;
-  double explain_p95_sampled = 1e300;
-  double explain_p95_full = 1e300;
-  // Baseline: both halves run before the subsystem has ever captured
-  // anything. The placebo block between them mirrors the real arming
-  // block's pass count (2 per rep) plus its equalizer, so a-to-b sees the
-  // same wall-clock gap and workload cadence as off-to-off_armed.
-  telemetry.SetExplainSampleEvery(0);
-  for (size_t rep = 0; rep < explain_reps; ++rep) {
-    explain_p95_off_a = std::min(explain_p95_off_a,
-                                 Percentile(TimedPass(engine, zipf, k), 95));
+  telemetry.SetExplainSampleEvery(1);
+  const double explain_p95_full = Percentile(TimedPass(engine, zipf, k), 95);
+  telemetry.SetExplainSampleEvery(32);
+  const double explain_p95_sampled =
+      Percentile(TimedPass(engine, zipf, k), 95);
+  const std::vector<SuggestionRequest> burst_requests(
+      zipf.begin(),
+      zipf.begin() + std::min(zipf.size(),
+                              telemetry.explain_store().capacity()));
+  std::vector<double> explain_p95_placebo;
+  std::vector<double> explain_p95_armed;
+  for (size_t pair = 0; pair < gate_pairs; ++pair) {
+    for (bool armed : {pair % 2 == 1, pair % 2 == 0}) {
+      telemetry.SetExplainSampleEvery(armed ? 1 : 0);
+      (void)TimedPass(engine, burst_requests, k);  // untimed burst
+      telemetry.SetExplainSampleEvery(0);
+      (armed ? explain_p95_armed : explain_p95_placebo)
+          .push_back(Percentile(TimedPass(engine, zipf, k), 95));
+    }
   }
-  for (size_t rep = 0; rep < 2 * explain_reps + 1; ++rep) {
-    (void)TimedPass(engine, zipf, k);  // placebo arming block, untimed
-  }
-  for (size_t rep = 0; rep < explain_reps; ++rep) {
-    explain_p95_off_b = std::min(explain_p95_off_b,
-                                 Percentile(TimedPass(engine, zipf, k), 95));
-  }
-  // The b half is the drift-matched baseline: it sits at the same temporal
-  // distance from its (placebo) hot block as off_armed sits from the real
-  // one. The a half only serves the noise-floor estimate.
-  const double explain_p95_off = explain_p95_off_b;
+  const size_t half = explain_p95_placebo.size() / 2;
   const double explain_noise_us =
-      std::abs(explain_p95_off_a - explain_p95_off_b);
-  // Arm: full-capture and sampled storms (reported ungated below). These
-  // run hotter than the disabled storms, which is why the off-after block
-  // leads with an untimed disabled pass — every timed disabled pass, before
-  // or after arming, then follows the same kind of workload instead of
-  // inheriting the full storm's thermal and cache state.
-  for (size_t rep = 0; rep < explain_reps; ++rep) {
-    telemetry.SetExplainSampleEvery(1);
-    explain_p95_full =
-        std::min(explain_p95_full, Percentile(TimedPass(engine, zipf, k), 95));
-    telemetry.SetExplainSampleEvery(32);
-    explain_p95_sampled = std::min(explain_p95_sampled,
-                                   Percentile(TimedPass(engine, zipf, k), 95));
-  }
-  telemetry.SetExplainSampleEvery(0);
-  (void)TimedPass(engine, zipf, k);  // equalizer, untimed
-  for (size_t rep = 0; rep < explain_reps; ++rep) {
-    explain_p95_off_armed = std::min(
-        explain_p95_off_armed, Percentile(TimedPass(engine, zipf, k), 95));
-  }
-  const double explain_off_overhead_pct =
-      explain_p95_off > 0.0
-          ? 100.0 * (explain_p95_off_armed - explain_p95_off) /
-                explain_p95_off
-          : 0.0;
-  const bool explain_gate = explain_p95_off_armed <=
-                            explain_p95_off * 1.01 + 50.0 + explain_noise_us;
-  std::printf("  p95 disabled: %9.0fus   disabled after arming: %9.0fus   "
-              "overhead: %+.2f%%  gate(<=1%%+50us+%.0fus noise floor): %s\n",
+      half == 0 ? 0.0
+                : std::abs(MedianOf({explain_p95_placebo.begin(),
+                                     explain_p95_placebo.begin() + half}) -
+                           MedianOf({explain_p95_placebo.begin() + half,
+                                     explain_p95_placebo.end()}));
+  const OverheadVerdict explain_gate = PairedOverheadGate(
+      explain_p95_placebo, explain_p95_armed, /*budget_pct=*/1.0,
+      /*budget_us=*/50.0 + explain_noise_us);
+  const double explain_p95_off = MedianOf(explain_p95_placebo);
+  const double explain_p95_off_armed = MedianOf(explain_p95_armed);
+  std::printf("  median p95 disabled after placebo: %9.0fus   after arming: "
+              "%9.0fus   median overhead: %+.2f%%  95%% lower bound: "
+              "%+.2f%%  gate(<=1%%+50us+%.0fus noise floor = %.2f%%): %s\n",
               explain_p95_off, explain_p95_off_armed,
-              explain_off_overhead_pct, explain_noise_us,
-              explain_gate ? "pass" : "FAIL");
+              explain_gate.median_overhead_pct, explain_gate.lower_bound_pct,
+              explain_noise_us, explain_gate.budget_pct,
+              explain_gate.pass ? "pass" : "FAIL");
+  PrintPairs(explain_p95_placebo, explain_p95_armed);
   std::printf("  p95 sampled(1/32): %9.0fus   full(1/1): %9.0fus  "
               "(ungated: sampled requests pay for the sweeps they record)\n",
               explain_p95_sampled, explain_p95_full);
@@ -844,20 +844,22 @@ void Main() {
     std::snprintf(
         buf, sizeof(buf),
         "{\n  \"bench\": \"serving_explain_overhead\",\n"
-        "  \"offered\": %zu,\n  \"reps\": %zu,\n"
+        "  \"offered\": %zu,\n  \"pairs\": %zu,\n"
         "  \"p95_explain_off_us\": %.1f,\n"
         "  \"p95_explain_off_armed_us\": %.1f,\n"
         "  \"p95_explain_sampled_us\": %.1f,\n"
         "  \"p95_explain_full_us\": %.1f,\n"
-        "  \"disabled_overhead_pct\": %.3f,\n"
-        "  \"p95_explain_off_halves_us\": [%.1f, %.1f],\n"
+        "  \"median_overhead_pct\": %.3f,\n"
+        "  \"lower_bound_pct\": %.3f,\n"
+        "  \"budget_pct\": %.3f,\n"
         "  \"noise_floor_us\": %.1f,\n"
         "  \"explainz_records\": %zu,\n"
         "  \"gate_pass\": %s\n}\n",
-        zipf.size(), explain_reps, explain_p95_off, explain_p95_off_armed,
-        explain_p95_sampled, explain_p95_full, explain_off_overhead_pct,
-        explain_p95_off_a, explain_p95_off_b, explain_noise_us,
-        explainz_records, explain_gate ? "true" : "false");
+        zipf.size(), explain_gate.pairs, explain_p95_off,
+        explain_p95_off_armed, explain_p95_sampled, explain_p95_full,
+        explain_gate.median_overhead_pct, explain_gate.lower_bound_pct,
+        explain_gate.budget_pct, explain_noise_us, explainz_records,
+        explain_gate.pass ? "true" : "false");
     if (std::FILE* f = std::fopen("BENCH_explain.json", "w")) {
       std::fwrite(buf, 1, std::strlen(buf), f);
       std::fclose(f);
@@ -867,14 +869,11 @@ void Main() {
     }
   }
 
-  // --- adaptive cache hierarchy: policy matrix + delta-aware retention --
-  // A Zipf head with one-shot scan pollution every 3rd request, and
-  // generation swaps from small localized ingest deltas every
-  // `swap_every` requests. Two verdicts, both gated by run_benches.sh:
-  //   - adaptivity: the better of ARC/CAR must match-or-beat LRU's hit
-  //     rate (the scan traffic is exactly what ARC/CAR exist to absorb);
-  //   - retention: delta-aware validation must keep >= 1.3x the hits of
-  //     whole-generation keying across the same swap schedule.
+  // --- delta-aware cache retention -------------------------------------
+  // A Zipf head with generation swaps from small localized ingest deltas.
+  // The verdict, gated by run_benches.sh: delta-aware validation must keep
+  // >= 1.3x the hits of whole-generation keying across the same swap
+  // schedule.
   //
   // The corpus is many small *disconnected* clusters (cluster-unique
   // vocabulary, urls and users) rather than the shared synthetic log: a
@@ -886,10 +885,8 @@ void Main() {
   // — the corpus shape IS the scenario.
   {
     const size_t cache_ops = EnvSize("CACHE_OPS", 1200);
-    const size_t cache_cap = EnvSize("CACHE_POLICY_CAP", 24);
-    const size_t swap_every = std::max<size_t>(2, cache_ops / 8);
     const size_t kHeadClusters = 64;
-    const size_t scan_count = cache_ops / 3 + 1;
+    const size_t cold_clusters = cache_ops / 3 + 1;
 
     std::vector<QueryLogRecord> cluster_log;
     std::vector<SuggestionRequest> head_probes;
@@ -926,38 +923,18 @@ void Main() {
       // measures.
       add_cluster("h" + std::to_string(cl), 2, &head_probes);
     }
-    std::vector<SuggestionRequest> scan_probes;
-    for (size_t s = 0; s < scan_count; ++s) {
-      add_cluster("s" + std::to_string(s), 2, &scan_probes);
+    // Cold clusters nobody requests: they widen the corpus (and the
+    // validation partition's rows) the way one-shot queries do in a log.
+    for (size_t s = 0; s < cold_clusters; ++s) {
+      add_cluster("s" + std::to_string(s), 2, nullptr);
     }
 
-    // One deterministic workload replayed against every configuration.
-    std::vector<SuggestionRequest> cache_workload;
-    cache_workload.reserve(cache_ops);
-    {
-      std::vector<double> weights;
-      for (size_t r = 0; r < head_probes.size(); ++r) {
-        weights.push_back(1.0 / static_cast<double>(r + 1));
-      }
-      std::discrete_distribution<size_t> pick(weights.begin(), weights.end());
-      std::mt19937_64 rng(133);
-      size_t scan_next = 0;
-      for (size_t i = 0; i < cache_ops; ++i) {
-        if (i % 3 == 2 && scan_next < scan_probes.size()) {
-          cache_workload.push_back(scan_probes[scan_next++]);
-        } else {
-          cache_workload.push_back(head_probes[pick(rng)]);
-        }
-      }
-    }
-
-    // The retention pair runs a separate sub-workload: pure Zipf over the
-    // head clusters, capacity above the head working set, swaps twice as
-    // frequent. Retention is only observable when entries are resident at
-    // swap time — under the scan-thrash workload above, eviction churn
-    // drowns the swap signal for delta-aware and whole-gen alike.
-    std::vector<SuggestionRequest> churn_workload;
-    churn_workload.reserve(cache_ops);
+    // The workload: pure Zipf over the head clusters, capacity above the
+    // head working set. Retention is only observable when entries are
+    // resident at swap time — under eviction churn the swap signal drowns
+    // for delta-aware and whole-gen alike.
+    std::vector<SuggestionRequest> workload;
+    workload.reserve(cache_ops);
     {
       std::vector<double> weights;
       for (size_t r = 0; r < head_probes.size(); ++r) {
@@ -966,7 +943,7 @@ void Main() {
       std::discrete_distribution<size_t> pick(weights.begin(), weights.end());
       std::mt19937_64 rng(211);
       for (size_t i = 0; i < cache_ops; ++i) {
-        churn_workload.push_back(head_probes[pick(rng)]);
+        workload.push_back(head_probes[pick(rng)]);
       }
     }
     const size_t retention_cap = head_probes.size() + head_probes.size() / 2;
@@ -974,11 +951,7 @@ void Main() {
 
     struct CacheRun {
       const char* label;
-      CachePolicyKind policy;
       bool delta_aware;
-      const std::vector<SuggestionRequest>* workload;
-      size_t capacity;
-      size_t swap_every;
       uint64_t hits = 0;
       uint64_t misses = 0;
       uint64_t stale = 0;
@@ -999,9 +972,8 @@ void Main() {
       PqsdaEngineConfig cache_config;
       cache_config.personalize = false;
       cache_config.weighting = EdgeWeighting::kRaw;  // fingerprints stay local
-      cache_config.cache_capacity = run->capacity;
+      cache_config.cache_capacity = retention_cap;
       cache_config.cache_shards = 1;
-      cache_config.cache_policy = run->policy;
       cache_config.cache_delta_aware = run->delta_aware;
       cache_config.ingest.rebuild_min_records = SIZE_MAX;  // swaps on demand
       auto built = PqsdaEngine::Build(cluster_log, cache_config);
@@ -1015,12 +987,11 @@ void Main() {
       const uint64_t m0 = cache_misses.Value();
       const uint64_t s0 = cache_stale.Value();
       const uint64_t e0 = cache_evictions.Value();
-      const std::vector<SuggestionRequest>& stream = *run->workload;
       std::vector<double> lat_us;
-      lat_us.reserve(stream.size());
+      lat_us.reserve(workload.size());
       size_t delta_seq = 0;
-      for (size_t i = 0; i < stream.size(); ++i) {
-        if (i > 0 && i % run->swap_every == 0) {
+      for (size_t i = 0; i < workload.size(); ++i) {
+        if (i > 0 && i % retention_swap_every == 0) {
           // A one-query, fresh-vocabulary delta: exactly one fingerprint
           // component changes per swap.
           const std::string stem = "d" + std::to_string(delta_seq++);
@@ -1036,9 +1007,9 @@ void Main() {
           ++run->swaps;
         }
         const auto start = std::chrono::steady_clock::now();
-        auto served = cache_engine->Suggest(stream[i], k);
+        auto served = cache_engine->Suggest(workload[i], k);
         const auto stop = std::chrono::steady_clock::now();
-        (void)served;  // scans may serve short lists; outcome not gated
+        (void)served;  // outcome not gated
         lat_us.push_back(
             std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
                 .count() /
@@ -1058,21 +1029,12 @@ void Main() {
       return true;
     };
 
-    std::printf("\nadaptive cache: %zu ops; scan runs capacity=%zu swap "
-                "every %zu; retention runs capacity=%zu swap every %zu\n",
-                cache_ops, cache_cap, swap_every, retention_cap,
-                retention_swap_every);
+    std::printf("\ndelta-aware cache: %zu ops, LRU capacity=%zu, swap every "
+                "%zu\n",
+                cache_ops, retention_cap, retention_swap_every);
     CacheRun runs[] = {
-        {"lru/scan", CachePolicyKind::kLru, true, &cache_workload, cache_cap,
-         swap_every},
-        {"arc/scan", CachePolicyKind::kArc, true, &cache_workload, cache_cap,
-         swap_every},
-        {"car/scan", CachePolicyKind::kCar, true, &cache_workload, cache_cap,
-         swap_every},
-        {"arc/delta", CachePolicyKind::kArc, true, &churn_workload,
-         retention_cap, retention_swap_every},
-        {"arc/whole-gen", CachePolicyKind::kArc, false, &churn_workload,
-         retention_cap, retention_swap_every},
+        {"lru/delta", true},
+        {"lru/whole-gen", false},
     };
     bool cache_ran = true;
     for (CacheRun& run : runs) cache_ran = run_workload(&run) && cache_ran;
@@ -1086,20 +1048,12 @@ void Main() {
                     static_cast<unsigned long long>(run.evictions),
                     100.0 * run.hit_rate, run.p95_us, run.swaps);
       }
-      const CacheRun& lru = runs[0];
-      const CacheRun& arc = runs[1];
-      const CacheRun& car = runs[2];
-      const CacheRun& delta_ret = runs[3];
-      const CacheRun& whole = runs[4];
-      const double adaptive_rate = std::max(arc.hit_rate, car.hit_rate);
-      const bool policy_gate = adaptive_rate >= lru.hit_rate;
+      const CacheRun& delta_ret = runs[0];
+      const CacheRun& whole = runs[1];
       const double retention_ratio =
           static_cast<double>(delta_ret.hits) /
           static_cast<double>(std::max<uint64_t>(1, whole.hits));
       const bool retention_gate = retention_ratio >= 1.3;
-      std::printf("  adaptive(best of arc/car) vs lru hit rate: %.3f vs "
-                  "%.3f (gate >=: %s)\n",
-                  adaptive_rate, lru.hit_rate, policy_gate ? "PASS" : "FAIL");
       std::printf("  delta-aware vs whole-gen hits: %.2fx (gate >= 1.30x: "
                   "%s)\n",
                   retention_ratio, retention_gate ? "PASS" : "FAIL");
@@ -1109,7 +1063,7 @@ void Main() {
       std::snprintf(buf, sizeof(buf),
                     "  \"ops\": %zu,\n  \"capacity\": %zu,\n"
                     "  \"swap_every\": %zu,\n  \"runs\": [\n",
-                    cache_ops, cache_cap, swap_every);
+                    cache_ops, retention_cap, retention_swap_every);
       cache_json += buf;
       const size_t num_runs = sizeof(runs) / sizeof(runs[0]);
       for (size_t i = 0; i < num_runs; ++i) {
@@ -1126,15 +1080,9 @@ void Main() {
         cache_json += buf;
       }
       std::snprintf(buf, sizeof(buf),
-                    "  ],\n  \"adaptive_hit_rate\": %.4f,\n"
-                    "  \"lru_hit_rate\": %.4f,\n"
-                    "  \"retention_ratio\": %.3f,\n"
-                    "  \"policy_gate\": %s,\n  \"retention_gate\": %s,\n"
+                    "  ],\n  \"retention_ratio\": %.3f,\n"
                     "  \"gate_pass\": %s\n}\n",
-                    adaptive_rate, lru.hit_rate, retention_ratio,
-                    policy_gate ? "true" : "false",
-                    retention_gate ? "true" : "false",
-                    policy_gate && retention_gate ? "true" : "false");
+                    retention_ratio, retention_gate ? "true" : "false");
       cache_json += buf;
       if (std::FILE* f = std::fopen("BENCH_cache.json", "w")) {
         std::fwrite(cache_json.data(), 1, cache_json.size(), f);

@@ -1,5 +1,8 @@
 #include "bench_util.h"
 
+#include <algorithm>
+#include <random>
+
 namespace pqsda::bench {
 
 size_t EnvSize(const char* name, size_t fallback) {
@@ -57,6 +60,46 @@ double MeanOf(const std::vector<double>& v) {
   double s = 0.0;
   for (double x : v) s += x;
   return s / static_cast<double>(v.size());
+}
+
+double MedianOf(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  const size_t mid = v.size() / 2;
+  std::nth_element(v.begin(), v.begin() + mid, v.end());
+  if (v.size() % 2 == 1) return v[mid];
+  return 0.5 * (v[mid] + *std::max_element(v.begin(), v.begin() + mid));
+}
+
+OverheadVerdict PairedOverheadGate(const std::vector<double>& off_us,
+                                   const std::vector<double>& on_us,
+                                   double budget_pct, double budget_us) {
+  OverheadVerdict v;
+  v.pairs = std::min(off_us.size(), on_us.size());
+  if (v.pairs == 0) return v;
+  std::vector<double> overhead(v.pairs);
+  for (size_t i = 0; i < v.pairs; ++i) {
+    overhead[i] =
+        off_us[i] > 0.0 ? 100.0 * (on_us[i] - off_us[i]) / off_us[i] : 0.0;
+  }
+  v.median_overhead_pct = MedianOf(overhead);
+  const double off_median =
+      MedianOf(std::vector<double>(off_us.begin(), off_us.begin() + v.pairs));
+  v.budget_pct =
+      budget_pct + (off_median > 0.0 ? 100.0 * budget_us / off_median : 0.0);
+
+  constexpr size_t kResamples = 2000;
+  std::mt19937_64 rng(20140331);
+  std::uniform_int_distribution<size_t> pick(0, v.pairs - 1);
+  std::vector<double> medians(kResamples);
+  std::vector<double> sample(v.pairs);
+  for (double& median : medians) {
+    for (double& x : sample) x = overhead[pick(rng)];
+    median = MedianOf(sample);
+  }
+  std::sort(medians.begin(), medians.end());
+  v.lower_bound_pct = medians[kResamples / 40];  // the 2.5th percentile
+  v.pass = v.lower_bound_pct <= v.budget_pct;
+  return v;
 }
 
 std::vector<std::string> RankLabels() {

@@ -50,6 +50,35 @@ struct BenchEnv {
 /// Mean of a vector (0 for empty) — tiny helper for metric averaging.
 double MeanOf(const std::vector<double>& v);
 
+/// Median of a vector (0 for empty; the mean of the middle two for even
+/// sizes).
+double MedianOf(std::vector<double> v);
+
+/// Verdict of one paired overhead gate (see PairedOverheadGate).
+struct OverheadVerdict {
+  size_t pairs = 0;
+  /// Median over pairs of 100 * (on - off) / off.
+  double median_overhead_pct = 0.0;
+  /// Lower edge of the bootstrap 95% interval of that median.
+  double lower_bound_pct = 0.0;
+  /// The budget in percent: the relative budget plus the absolute one as a
+  /// share of the median off-side value.
+  double budget_pct = 0.0;
+  /// False when lower_bound_pct is above budget_pct, or no pair was given.
+  bool pass = false;
+};
+
+/// The rule behind bench_serving's overhead gates. `off_us[i]` and
+/// `on_us[i]` are one interleaved pair: the same workload measured without
+/// and with the cost under test, back to back, so host drift lands on both
+/// sides. The median paired overhead is resampled over pairs (bootstrap,
+/// fixed seed: one input, one verdict) and the gate fails only when the
+/// lower edge of its 95% interval is above `budget_pct` percent plus
+/// `budget_us` — noise widens the interval instead of failing the gate.
+OverheadVerdict PairedOverheadGate(const std::vector<double>& off_us,
+                                   const std::vector<double>& on_us,
+                                   double budget_pct, double budget_us);
+
 /// k values reported by the paper's figures.
 inline const std::vector<size_t> kRanks = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
 

@@ -8,7 +8,6 @@
 //                                [--shed_queue_depth=N] [--min_rung=R]
 //                                [--ingest=N] [--tail=path] [--slo=SPECS]
 //                                [--log_rotate_kb=N] [--explain_every=N]
-//                                [--cache_policy=NAME]
 //                                [--negative_cache=N] [--whole_gen_cache]
 //                                [--warmup_log=path] [--warmup_max=N]
 //                                [log.tsv]
@@ -32,9 +31,10 @@
 // /profilez stage names) and work counters (SuggestStats::Render()) plus
 // the *delta* of the process metrics registry across the request — what
 // this one request recorded, not the session's cumulative totals.
-// With --cache=N served lists are kept in an N-entry result cache;
+// With --cache=N served lists are kept in an N-entry LRU result cache;
 // repeated requests are answered from it (watch pqsda.cache.hits_total in
-// 'metrics').
+// 'metrics'), and --stats then shows only the cache stage — no expansion,
+// solve or selection ran.
 //
 // Profiling & SLOs: serve mode also exposes /profilez (windowed per-stage
 // cost attribution tree, ?window=10s|1m|5m) and /alertz (burn-rate SLO
@@ -96,7 +96,6 @@
 
 #include "common/cancellation.h"
 #include "core/pqsda_engine.h"
-#include "suggest/cache_policy.h"
 #include "log/log_io.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
@@ -114,7 +113,7 @@ constexpr char kUsage[] =
     "[--request_log=path] [--slow_ms=T] [--sample_every=N] [--deadline_ms=T] "
     "[--shed_queue_depth=N] [--min_rung=R] [--ingest=N] [--tail=path] "
     "[--slo=SPECS] [--log_rotate_kb=N] [--explain_every=N] "
-    "[--cache_policy=NAME] [--negative_cache=N] [--whole_gen_cache] "
+    "[--negative_cache=N] [--whole_gen_cache] "
     "[--warmup_log=path] [--warmup_max=N] [log.tsv]\n";
 
 // Parses one interactive request line: "@<user> <query>" or plain "<query>".
@@ -157,7 +156,6 @@ int main(int argc, char** argv) {
   const char* slo_specs = nullptr;
   unsigned long log_rotate_kb = 0;
   unsigned long explain_every = 0;
-  CachePolicyKind cache_policy = CachePolicyKind::kLru;
   size_t negative_cache = 0;
   bool whole_gen_cache = false;
   const char* warmup_log = nullptr;
@@ -192,13 +190,6 @@ int main(int argc, char** argv) {
       log_rotate_kb = std::strtoul(argv[i] + 16, nullptr, 10);
     } else if (std::strncmp(argv[i], "--explain_every=", 16) == 0) {
       explain_every = std::strtoul(argv[i] + 16, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--cache_policy=", 15) == 0) {
-      if (!ParseCachePolicy(argv[i] + 15, &cache_policy)) {
-        std::fprintf(stderr,
-                     "unknown cache policy '%s' (lru, clock, arc, car)\n",
-                     argv[i] + 15);
-        return 1;
-      }
     } else if (std::strncmp(argv[i], "--negative_cache=", 17) == 0) {
       negative_cache = std::strtoul(argv[i] + 17, nullptr, 10);
     } else if (std::strcmp(argv[i], "--whole_gen_cache") == 0) {
@@ -315,7 +306,6 @@ int main(int argc, char** argv) {
   config.upm.base.num_topics = 12;
   config.upm.base.gibbs_iterations = 40;
   config.cache_capacity = cache_capacity;
-  config.cache_policy = cache_policy;
   config.negative_cache_capacity = negative_cache;
   config.cache_delta_aware = !whole_gen_cache;
   if (warmup_log != nullptr) {
@@ -325,9 +315,8 @@ int main(int argc, char** argv) {
   config.robustness.min_rung = min_rung;
   config.robustness.shed_queue_depth = shed_queue_depth;
   if (cache_capacity > 0) {
-    std::printf("result cache enabled (%zu entries, policy %s, %s "
-                "invalidation)\n",
-                cache_capacity, CachePolicyName(cache_policy),
+    std::printf("result cache enabled (%zu entries, LRU, %s invalidation)\n",
+                cache_capacity,
                 whole_gen_cache ? "whole-generation" : "delta-aware");
   }
   if (negative_cache > 0) {

@@ -17,7 +17,7 @@ run() { echo "===== $* ====="; env "${@:2}" timeout 1200 "$B/$1"; echo; }
 # requests), the stage profiler (thread-local accumulators folding into the
 # shared epoch ring), the explain layer (thread-local sinks, the /explainz
 # ring, replay racing rebuilds), the delta-aware cache (validation
-# partition, cache policies and the staleness oracle under concurrent churn),
+# partition, the LRU shards and the staleness oracle under concurrent churn),
 # the engine's stats path (integration_test) and the SIMD kernel dispatch
 # (kernel_equivalence_test). The suites are the ctests labelled `sanitize`
 # (tests/CMakeLists.txt), run under ThreadSanitizer before spending 20
@@ -58,26 +58,26 @@ run ablation_rank_aggregation PQSDA_USERS=150 PQSDA_MAX_EVAL=250 PQSDA_TOPICS=32
 run ablation_upm PQSDA_USERS=150 PQSDA_GIBBS=50
 run bench_serving PQSDA_USERS=150 PQSDA_TESTS=150
 # The stage profiler must be free on the request path: bench_serving just
-# measured p95 with the profiler off vs on and wrote the verdict to
-# BENCH_profile.json. More than 2% (plus a 50us noise floor) fails the run.
+# measured p95 with the profiler off vs on in interleaved pairs and wrote the
+# verdict to BENCH_profile.json. The run fails when the bootstrap 95% lower
+# bound of the median paired overhead is above 2% (plus a 50us floor).
 if ! grep -q '"gate_pass": true' BENCH_profile.json 2>/dev/null; then
   echo "profiling-overhead gate FAILED (see BENCH_profile.json)" >&2
   exit 1
 fi
 # Same contract for the explain layer: bench_serving measured the storm p95
-# with explain disabled before vs after the subsystem was armed and wrote
-# the verdict to BENCH_explain.json. The disabled path costing more than 1%
-# (plus a 50us noise floor) fails the run.
+# with explain disabled right after a placebo burst vs right after a burst
+# that armed the subsystem, in interleaved pairs, and wrote the verdict to
+# BENCH_explain.json. The same rule fails the run above 1% (plus 50us and
+# the host's measured noise floor).
 if ! grep -q '"gate_pass": true' BENCH_explain.json 2>/dev/null; then
   echo "explain-overhead gate FAILED (see BENCH_explain.json)" >&2
   exit 1
 fi
-# Adaptive cache hierarchy, both halves of its promise: the better of
-# ARC/CAR must match-or-beat LRU's hit rate under scan pollution, and
-# delta-aware validation must retain >= 1.3x the hits of whole-generation
-# keying across the same swap-churn schedule.
+# Delta-aware cache retention: per-component validation must retain >= 1.3x
+# the hits of whole-generation keying across the same swap-churn schedule.
 if ! grep -q '"gate_pass": true' BENCH_cache.json 2>/dev/null; then
-  echo "adaptive-cache gate FAILED (see BENCH_cache.json)" >&2
+  echo "delta-aware cache retention gate FAILED (see BENCH_cache.json)" >&2
   exit 1
 fi
 # The kernel numbers below are only worth publishing if the vectorized

@@ -12,7 +12,6 @@
 #include "obs/metrics.h"
 #include "obs/retire.h"
 #include "obs/stage_profiler.h"
-#include "suggest/suggestion_cache.h"
 
 namespace pqsda::obs {
 
@@ -527,8 +526,6 @@ std::string ServingTelemetry::StatuszJson() const {
   out += ",\"mismatch_misses_total\":" +
          std::to_string(
              reg.GetCounter("pqsda.cache.mismatch_misses_total").Value());
-  out += ",\"ghost_hits_total\":" +
-         std::to_string(reg.GetCounter("pqsda.cache.ghost_hits_total").Value());
   out += ",\"warmup\":{\"replayed_total\":" +
          std::to_string(
              reg.GetCounter("pqsda.cache.warmup_replayed_total").Value());
@@ -554,9 +551,6 @@ std::string ServingTelemetry::StatuszJson() const {
              reg.GetCounter("pqsda.cache.negative_invalidations_total")
                  .Value());
   out += "}";
-  // Per-instance replacement-policy state (policy kind, occupancy, ARC/CAR
-  // list sizes and adaptation target) for every live cache.
-  out += ",\"instances\":" + SuggestionCachesStatusJson();
   out += "}";
 
   out += ",\"stages\":{";

@@ -14,21 +14,33 @@ std::string SuggestStats::Render() const {
                   static_cast<long long>(stages[s].wall_ns / 1000));
     out += buf;
   }
-  std::snprintf(buf, sizeof(buf),
-                "compact: %zu queries (%zu seeds, %zu rounds, %zu candidates "
-                "scored)\n",
-                compact_size, expansion.seeds, expansion.rounds,
-                expansion.candidates_scored);
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "solve: %zu iterations, residual %.3g%s\n", solve.iterations,
-                solve.relative_residual,
-                solve.converged ? "" : " (NOT CONVERGED)");
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "selection: %zu rounds, %zu candidates scored\n",
-                hitting_rounds, candidates_scored);
-  out += buf;
+  // The work lines describe stages that ran: a cache hit (or a request cut
+  // short before a stage) has none, and would otherwise print as a failed
+  // solve with zero iterations.
+  auto ran = [this](obs::ProfileStage stage) {
+    return stages[static_cast<size_t>(stage)].count > 0;
+  };
+  if (ran(obs::ProfileStage::kExpansion)) {
+    std::snprintf(buf, sizeof(buf),
+                  "compact: %zu queries (%zu seeds, %zu rounds, %zu "
+                  "candidates scored)\n",
+                  compact_size, expansion.seeds, expansion.rounds,
+                  expansion.candidates_scored);
+    out += buf;
+  }
+  if (ran(obs::ProfileStage::kSolve)) {
+    std::snprintf(buf, sizeof(buf),
+                  "solve: %zu iterations, residual %.3g%s\n",
+                  solve.iterations, solve.relative_residual,
+                  solve.converged ? "" : " (NOT CONVERGED)");
+    out += buf;
+  }
+  if (ran(obs::ProfileStage::kSelection)) {
+    std::snprintf(buf, sizeof(buf),
+                  "selection: %zu rounds, %zu candidates scored\n",
+                  hitting_rounds, candidates_scored);
+    out += buf;
+  }
   std::snprintf(buf, sizeof(buf), "personalized: %s, %zu suggestions\n",
                 personalized ? "yes" : "no", suggestions_returned);
   out += buf;

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <list>
+#include <mutex>
+#include <string_view>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 
@@ -29,127 +33,195 @@ std::string SerializeContext(const SuggestionRequest& request) {
   return out;
 }
 
-obs::Counter& HitsCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Default().GetCounter("pqsda.cache.hits_total");
-  return c;
-}
-obs::Counter& MissesCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Default().GetCounter("pqsda.cache.misses_total");
-  return c;
-}
-obs::Counter& EvictionsCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Default().GetCounter("pqsda.cache.evictions_total");
-  return c;
-}
-obs::Counter& StaleInvalidationsCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::Default().GetCounter(
-      "pqsda.cache.stale_invalidations_total");
-  return c;
-}
-obs::Counter& MismatchMissesCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::Default().GetCounter(
-      "pqsda.cache.mismatch_misses_total");
-  return c;
-}
-obs::Counter& GhostHitsCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::Default().GetCounter(
-      "pqsda.cache.ghost_hits_total");
-  return c;
-}
-obs::Gauge& SizeGauge() {
-  static obs::Gauge& g =
-      obs::MetricsRegistry::Default().GetGauge("pqsda.cache.size");
-  return g;
+// The metrics one cache counts into. Both caches run the same LruShard and
+// differ only in names: the negative cache has no mismatch counter of its
+// own (its mismatches count as plain misses) and counts insertions.
+struct CacheMetrics {
+  obs::Counter& hits;
+  obs::Counter& misses;
+  obs::Counter& evictions;
+  obs::Counter& invalidations;
+  obs::Counter* mismatch_misses;
+  obs::Counter* insertions;
+  obs::Gauge& size;
+};
+
+const CacheMetrics& PositiveMetrics() {
+  static const CacheMetrics m = [] {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+    return CacheMetrics{
+        reg.GetCounter("pqsda.cache.hits_total"),
+        reg.GetCounter("pqsda.cache.misses_total"),
+        reg.GetCounter("pqsda.cache.evictions_total"),
+        reg.GetCounter("pqsda.cache.stale_invalidations_total"),
+        &reg.GetCounter("pqsda.cache.mismatch_misses_total"),
+        /*insertions=*/nullptr,
+        reg.GetGauge("pqsda.cache.size")};
+  }();
+  return m;
 }
 
-obs::Counter& NegativeHitsCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::Default().GetCounter(
-      "pqsda.cache.negative_hits_total");
-  return c;
-}
-obs::Counter& NegativeMissesCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::Default().GetCounter(
-      "pqsda.cache.negative_misses_total");
-  return c;
-}
-obs::Counter& NegativeInsertionsCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::Default().GetCounter(
-      "pqsda.cache.negative_insertions_total");
-  return c;
-}
-obs::Counter& NegativeEvictionsCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::Default().GetCounter(
-      "pqsda.cache.negative_evictions_total");
-  return c;
-}
-obs::Counter& NegativeInvalidationsCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::Default().GetCounter(
-      "pqsda.cache.negative_invalidations_total");
-  return c;
-}
-obs::Gauge& NegativeSizeGauge() {
-  static obs::Gauge& g =
-      obs::MetricsRegistry::Default().GetGauge("pqsda.cache.negative_size");
-  return g;
-}
-
-// Registry of live caches for the /statusz "caches" section. Caches are
-// created at engine Build time and destroyed with the engine; registration
-// is cheap enough to take a global mutex.
-std::mutex& RegistryMutex() {
-  static std::mutex* mu = new std::mutex;
-  return *mu;
-}
-std::vector<const SuggestionCache*>& Registry() {
-  static std::vector<const SuggestionCache*>* v =
-      new std::vector<const SuggestionCache*>;
-  return *v;
+const CacheMetrics& NegativeMetrics() {
+  static const CacheMetrics m = [] {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+    return CacheMetrics{
+        reg.GetCounter("pqsda.cache.negative_hits_total"),
+        reg.GetCounter("pqsda.cache.negative_misses_total"),
+        reg.GetCounter("pqsda.cache.negative_evictions_total"),
+        reg.GetCounter("pqsda.cache.negative_invalidations_total"),
+        /*mismatch_misses=*/nullptr,
+        &reg.GetCounter("pqsda.cache.negative_insertions_total"),
+        reg.GetGauge("pqsda.cache.negative_size")};
+  }();
+  return m;
 }
 
 }  // namespace
 
-struct SuggestionCache::Shard {
-  struct Entry {
+// Entries live in a list ordered by recency (front = most recently used);
+// the index maps each resident key to its list node. The key string is
+// stored once, in the node: the index holds a view of it plus the hash
+// CacheKey already carries, so a probe neither rehashes nor copies the key.
+class LruShard {
+ public:
+  using CacheKey = SuggestionCache::CacheKey;
+  using ValidationVector = SuggestionCache::ValidationVector;
+  using Validator = SuggestionCache::Validator;
+
+  LruShard(size_t capacity, const CacheMetrics& metrics)
+      : capacity_(std::max<size_t>(capacity, 1)), metrics_(metrics) {}
+
+  // Grades the entry's components with `validator` (an entry without
+  // components, or a call without a validator, grades kValid). Only kValid
+  // hits: the entry moves to the front and its list is copied into `out`
+  // when non-null.
+  bool Lookup(const CacheKey& key, const Validator& validator,
+              std::vector<Suggestion>* out) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = index_.find(KeyRef{key.hash, key.full});
+    if (it == index_.end()) {
+      metrics_.misses.Increment();
+      return false;
+    }
+    const auto node = it->second;
+    const CacheValidity validity = validator && !node->components.empty()
+                                       ? validator(node->components)
+                                       : CacheValidity::kValid;
+    switch (validity) {
+      case CacheValidity::kValid:
+        break;
+      case CacheValidity::kStale:
+        // Some component the entry read has been rebuilt since. Erase it
+        // now — keeping it would re-grade it on every probe and the entry
+        // can never become valid again (generations only move forward). For
+        // a negative entry an ingested record may have made the query known.
+        index_.erase(it);
+        order_.erase(node);
+        metrics_.size.Add(-1.0);
+        metrics_.invalidations.Increment();
+        metrics_.misses.Increment();
+        return false;
+      case CacheValidity::kMismatch:
+        // The entry was built against a *newer* generation than the
+        // caller's pinned snapshot — the caller raced a swap on the
+        // outgoing side. Miss without erasing: the entry is exactly what
+        // post-swap readers want.
+        if (metrics_.mismatch_misses != nullptr) {
+          metrics_.mismatch_misses->Increment();
+        }
+        metrics_.misses.Increment();
+        return false;
+    }
+    order_.splice(order_.begin(), order_, node);
+    if (out != nullptr) *out = node->value;
+    metrics_.hits.Increment();
+    return true;
+  }
+
+  void Insert(const CacheKey& key, std::vector<Suggestion> value,
+              ValidationVector components) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = index_.find(KeyRef{key.hash, key.full});
+    if (it != index_.end()) {
+      it->second->value = std::move(value);
+      it->second->components = std::move(components);
+      order_.splice(order_.begin(), order_, it->second);
+      return;
+    }
+    order_.push_front(Node{key, std::move(value), std::move(components)});
+    index_.emplace(RefOf(order_.front()), order_.begin());
+    if (metrics_.insertions != nullptr) metrics_.insertions->Increment();
+    if (order_.size() > capacity_) {
+      index_.erase(RefOf(order_.back()));
+      order_.pop_back();
+      metrics_.evictions.Increment();
+    } else {
+      metrics_.size.Add(1.0);
+    }
+  }
+
+  size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return order_.size();
+  }
+
+  void Clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    metrics_.size.Add(-static_cast<double>(order_.size()));
+    index_.clear();
+    order_.clear();
+  }
+
+ private:
+  struct Node {
+    CacheKey key;
     std::vector<Suggestion> value;
     /// Empty when the entry's generation lives inside the key string (the
     /// whole-generation path); otherwise the per-component generations the
     /// entry was built against, graded by validating Lookups.
     ValidationVector components;
   };
-  mutable std::mutex mu;
-  std::unordered_map<std::string, Entry> index;
-  std::unique_ptr<CachePolicy> policy;
+  // Equality compares the full serialization, so keys that collide in the
+  // hash are distinct entries, never aliases.
+  struct KeyRef {
+    uint64_t hash;
+    std::string_view full;
+    bool operator==(const KeyRef& other) const {
+      return hash == other.hash && full == other.full;
+    }
+  };
+  struct KeyRefHash {
+    size_t operator()(const KeyRef& ref) const {
+      return static_cast<size_t>(ref.hash);
+    }
+  };
+  static KeyRef RefOf(const Node& node) {
+    return KeyRef{node.key.hash, node.key.full};
+  }
+
+  const size_t capacity_;
+  const CacheMetrics& metrics_;
+  mutable std::mutex mu_;
+  std::list<Node> order_;
+  std::unordered_map<KeyRef, std::list<Node>::iterator, KeyRefHash> index_;
 };
 
-SuggestionCache::SuggestionCache(SuggestionCacheOptions options)
-    : policy_(options.policy), name_(std::move(options.name)) {
+SuggestionCache::SuggestionCache(SuggestionCacheOptions options) {
   const size_t capacity = std::max<size_t>(options.capacity, 1);
   const size_t shards = std::min(std::max<size_t>(options.shards, 1), capacity);
-  per_shard_capacity_ = (capacity + shards - 1) / shards;
-  capacity_ = per_shard_capacity_ * shards;
+  const size_t per_shard_capacity = (capacity + shards - 1) / shards;
+  capacity_ = per_shard_capacity * shards;
   shards_.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->policy = MakeCachePolicy(policy_, per_shard_capacity_);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(
+        std::make_unique<LruShard>(per_shard_capacity, PositiveMetrics()));
   }
   obs::MetricsRegistry::Default()
       .GetGauge("pqsda.cache.capacity")
       .Set(static_cast<double>(capacity_));
-  {
-    std::lock_guard<std::mutex> lock(RegistryMutex());
-    Registry().push_back(this);
-  }
 }
 
-SuggestionCache::~SuggestionCache() {
-  std::lock_guard<std::mutex> lock(RegistryMutex());
-  auto& reg = Registry();
-  reg.erase(std::remove(reg.begin(), reg.end(), this), reg.end());
-}
+SuggestionCache::~SuggestionCache() = default;
 
 SuggestionCache::CacheKey::CacheKey(std::string full_key)
     : hash(std::hash<std::string>{}(full_key)), full(std::move(full_key)) {}
@@ -168,7 +240,7 @@ SuggestionCache::CacheKey SuggestionCache::KeyOf(
   return CacheKey(std::move(key));
 }
 
-SuggestionCache::Shard& SuggestionCache::ShardOf(const CacheKey& key) const {
+LruShard& SuggestionCache::ShardOf(const CacheKey& key) const {
   // The hash only routes to a shard; inside the shard the index compares
   // full keys, so hash collisions cost a probe, never a wrong answer.
   return *shards_[key.hash % shards_.size()];
@@ -181,41 +253,7 @@ bool SuggestionCache::Lookup(const CacheKey& key,
 
 bool SuggestionCache::Lookup(const CacheKey& key, std::vector<Suggestion>* out,
                              const Validator& validator) const {
-  Shard& shard = ShardOf(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key.full);
-  if (it == shard.index.end()) {
-    MissesCounter().Increment();
-    return false;
-  }
-  if (validator && !it->second.components.empty()) {
-    switch (validator(it->second.components)) {
-      case CacheValidity::kValid:
-        break;
-      case CacheValidity::kStale:
-        // Some component the entry read has been rebuilt since. Erase it
-        // now — keeping it would re-grade it on every probe and the entry
-        // can never become valid again (generations only move forward).
-        shard.policy->OnErase(key.full);
-        shard.index.erase(it);
-        SizeGauge().Add(-1.0);
-        StaleInvalidationsCounter().Increment();
-        MissesCounter().Increment();
-        return false;
-      case CacheValidity::kMismatch:
-        // The entry was built against a *newer* generation than the
-        // caller's pinned snapshot — the caller raced a swap on the
-        // outgoing side. Miss without erasing: the entry is exactly what
-        // post-swap readers want.
-        MismatchMissesCounter().Increment();
-        MissesCounter().Increment();
-        return false;
-    }
-  }
-  shard.policy->OnHit(key.full);
-  if (out != nullptr) *out = it->second.value;
-  HitsCounter().Increment();
-  return true;
+  return ShardOf(key).Lookup(key, validator, out);
 }
 
 void SuggestionCache::Insert(const CacheKey& key,
@@ -225,164 +263,36 @@ void SuggestionCache::Insert(const CacheKey& key,
 
 void SuggestionCache::Insert(const CacheKey& key, std::vector<Suggestion> value,
                              ValidationVector components) {
-  Shard& shard = ShardOf(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key.full);
-  if (it != shard.index.end()) {
-    it->second.value = std::move(value);
-    it->second.components = std::move(components);
-    shard.policy->OnHit(key.full);
-    return;
-  }
-  std::vector<std::string> evicted;
-  if (shard.policy->OnInsert(key.full, &evicted)) {
-    GhostHitsCounter().Increment();
-  }
-  shard.index.emplace(key.full,
-                      Shard::Entry{std::move(value), std::move(components)});
-  for (const std::string& victim : evicted) {
-    shard.index.erase(victim);
-    EvictionsCounter().Increment();
-  }
-  SizeGauge().Add(1.0 - static_cast<double>(evicted.size()));
+  ShardOf(key).Insert(key, std::move(value), std::move(components));
 }
 
 size_t SuggestionCache::size() const {
   size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->index.size();
-  }
-  return total;
-}
-
-CachePolicyStatus SuggestionCache::PolicyStatus() const {
-  CachePolicyStatus total;
-  total.capacity = capacity_;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    const CachePolicyStatus s = shard->policy->StatusNow();
-    total.resident += s.resident;
-    total.t1 += s.t1;
-    total.t2 += s.t2;
-    total.b1 += s.b1;
-    total.b2 += s.b2;
-    total.p += s.p;
-  }
+  for (const auto& shard : shards_) total += shard->size();
   return total;
 }
 
 void SuggestionCache::Clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    SizeGauge().Add(-static_cast<double>(shard->index.size()));
-    shard->index.clear();
-    shard->policy->Clear();
-  }
-}
-
-std::string SuggestionCachesStatusJson() {
-  std::lock_guard<std::mutex> lock(RegistryMutex());
-  std::string json = "[";
-  bool first = true;
-  for (const SuggestionCache* cache : Registry()) {
-    const CachePolicyStatus s = cache->PolicyStatus();
-    if (!first) json += ", ";
-    first = false;
-    json += "{\"name\": \"";
-    json += cache->name();
-    json += "\", \"policy\": \"";
-    json += CachePolicyName(cache->policy());
-    json += "\", \"capacity\": ";
-    json += std::to_string(s.capacity);
-    json += ", \"resident\": ";
-    json += std::to_string(s.resident);
-    json += ", \"t1\": ";
-    json += std::to_string(s.t1);
-    json += ", \"t2\": ";
-    json += std::to_string(s.t2);
-    json += ", \"b1\": ";
-    json += std::to_string(s.b1);
-    json += ", \"b2\": ";
-    json += std::to_string(s.b2);
-    json += ", \"p\": ";
-    json += std::to_string(s.p);
-    json += "}";
-  }
-  json += "]";
-  return json;
+  for (const auto& shard : shards_) shard->Clear();
 }
 
 NegativeSuggestionCache::NegativeSuggestionCache(size_t capacity)
-    : capacity_(std::max<size_t>(capacity, 1)) {}
+    : shard_(std::make_unique<LruShard>(capacity, NegativeMetrics())) {}
 
-NegativeSuggestionCache::~NegativeSuggestionCache() {
-  std::lock_guard<std::mutex> lock(mu_);
-  NegativeSizeGauge().Add(-static_cast<double>(lru_.size()));
-}
+NegativeSuggestionCache::~NegativeSuggestionCache() { shard_->Clear(); }
 
 bool NegativeSuggestionCache::Lookup(const CacheKey& key,
                                      const Validator& validator) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key.full);
-  if (it == index_.end()) {
-    NegativeMissesCounter().Increment();
-    return false;
-  }
-  if (validator && !it->second->components.empty()) {
-    switch (validator(it->second->components)) {
-      case CacheValidity::kValid:
-        break;
-      case CacheValidity::kStale:
-        // The owning component was rebuilt — an ingested record may have
-        // made the query known, so the NotFound verdict no longer stands.
-        lru_.erase(it->second);
-        index_.erase(it);
-        NegativeSizeGauge().Add(-1.0);
-        NegativeInvalidationsCounter().Increment();
-        NegativeMissesCounter().Increment();
-        return false;
-      case CacheValidity::kMismatch:
-        NegativeMissesCounter().Increment();
-        return false;
-    }
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  NegativeHitsCounter().Increment();
-  return true;
+  return shard_->Lookup(key, validator, /*out=*/nullptr);
 }
 
 void NegativeSuggestionCache::Insert(const CacheKey& key,
                                      ValidationVector components) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key.full);
-  if (it != index_.end()) {
-    it->second->components = std::move(components);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.emplace_front(Entry{key.full, std::move(components)});
-  index_.emplace(key.full, lru_.begin());
-  NegativeInsertionsCounter().Increment();
-  if (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    NegativeEvictionsCounter().Increment();
-  } else {
-    NegativeSizeGauge().Add(1.0);
-  }
+  shard_->Insert(key, /*value=*/{}, std::move(components));
 }
 
-size_t NegativeSuggestionCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
-}
+size_t NegativeSuggestionCache::size() const { return shard_->size(); }
 
-void NegativeSuggestionCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  NegativeSizeGauge().Add(-static_cast<double>(lru_.size()));
-  index_.clear();
-  lru_.clear();
-}
+void NegativeSuggestionCache::Clear() { shard_->Clear(); }
 
 }  // namespace pqsda

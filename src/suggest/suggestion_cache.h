@@ -4,15 +4,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "suggest/cache_policy.h"
 #include "suggest/engine.h"
 
 namespace pqsda {
@@ -21,15 +17,9 @@ namespace pqsda {
 struct SuggestionCacheOptions {
   /// Total entries across all shards; 0 behaves as 1.
   size_t capacity = 4096;
-  /// Independent shards, each with its own mutex and its own policy
-  /// instance, so concurrent SuggestBatch workers rarely contend; 0 behaves
-  /// as 1.
+  /// Independent shards, each with its own mutex and its own LRU order, so
+  /// concurrent SuggestBatch workers rarely contend; 0 behaves as 1.
   size_t shards = 8;
-  /// Replacement policy of each shard (see CachePolicyKind). LRU is the
-  /// baseline; ARC/CAR adapt against scan pollution.
-  CachePolicyKind policy = CachePolicyKind::kLru;
-  /// Instance name on /statusz ("suggest", ...).
-  std::string name = "suggest";
 };
 
 /// Verdict of a validating Lookup on an entry's ValidationVector.
@@ -48,6 +38,10 @@ enum class CacheValidity {
   kMismatch,
 };
 
+/// One mutex-guarded LRU of cache entries; both result caches are built from
+/// it (defined in suggestion_cache.cc).
+class LruShard;
+
 /// Sharded cache of finished suggestion lists, keyed by the full
 /// (query, context offsets, user, k, index generation) tuple. Heavy serving
 /// traffic is Zipf-shaped —
@@ -63,13 +57,15 @@ enum class CacheValidity {
 /// one session's list to another; the full serialization is compared on
 /// every hit now and the precomputed hash only routes to a shard.
 ///
+/// Each shard evicts least-recently-used first: a hit or a re-insert moves
+/// the entry to the front, an insert over the shard's capacity drops the
+/// tail, and a stale entry erased by a validating Lookup frees its slot.
+///
 /// All methods are thread-safe. Hits, misses, evictions, stale
-/// invalidations and ghost-list hits are counted into the default
+/// invalidations and mismatch misses are counted into the default
 /// MetricsRegistry (`pqsda.cache.hits_total`, `pqsda.cache.misses_total`,
 /// `pqsda.cache.evictions_total`, `pqsda.cache.stale_invalidations_total`,
-/// `pqsda.cache.mismatch_misses_total`, `pqsda.cache.ghost_hits_total`,
-/// `pqsda.cache.size`). Live instances additionally register themselves for
-/// the /statusz "caches" section (see SuggestionCachesStatusJson).
+/// `pqsda.cache.mismatch_misses_total`, gauge `pqsda.cache.size`).
 class SuggestionCache {
  public:
   /// A cache key: the full serialized request tuple plus its 64-bit hash,
@@ -118,8 +114,8 @@ class SuggestionCache {
   static CacheKey KeyOf(const SuggestionRequest& request, size_t k,
                         uint64_t generation = 0);
 
-  /// On a hit, copies the cached list into `out`, refreshes the entry's
-  /// policy position and returns true.
+  /// On a hit, copies the cached list into `out`, moves the entry to the
+  /// front of its shard's LRU order and returns true.
   bool Lookup(const CacheKey& key, std::vector<Suggestion>* out) const;
 
   /// Lookup that additionally grades the entry's ValidationVector. kStale
@@ -132,8 +128,8 @@ class SuggestionCache {
   bool Lookup(const CacheKey& key, std::vector<Suggestion>* out,
               const Validator& validator) const;
 
-  /// Inserts or refreshes `key`, letting the shard's policy pick victims
-  /// when over budget.
+  /// Inserts or refreshes `key`, evicting the shard's least recently used
+  /// entry when over budget.
   void Insert(const CacheKey& key, std::vector<Suggestion> value);
 
   /// Insert with a ValidationVector recording what the entry depends on
@@ -151,31 +147,15 @@ class SuggestionCache {
   /// as the `pqsda.cache.capacity` gauge so /statusz can report occupancy.
   size_t capacity() const { return capacity_; }
 
-  CachePolicyKind policy() const { return policy_; }
-  const std::string& name() const { return name_; }
-
-  /// Aggregated policy introspection across shards (T1/T2/B1/B2/p summed;
-  /// only meaningful for ARC/CAR).
-  CachePolicyStatus PolicyStatus() const;
-
-  /// Drops every entry and all policy ghost state (counters untouched).
+  /// Drops every entry (counters untouched).
   void Clear();
 
  private:
-  struct Shard;
+  LruShard& ShardOf(const CacheKey& key) const;
 
-  Shard& ShardOf(const CacheKey& key) const;
-
-  size_t per_shard_capacity_;
   size_t capacity_;
-  CachePolicyKind policy_;
-  std::string name_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<LruShard>> shards_;
 };
-
-/// JSON array describing every live SuggestionCache (name, policy,
-/// occupancy, ARC/CAR list sizes), embedded in /statusz's "caches" field.
-std::string SuggestionCachesStatusJson();
 
 /// Bounded cache of *negative* results: request keys the engine answered
 /// NotFound for, so storms of lookups for unknown queries are absorbed
@@ -183,8 +163,9 @@ std::string SuggestionCachesStatusJson();
 /// a ValidationVector just like positive entries — an ingested record can
 /// make a query known, so a negative entry must die with the component that
 /// would now resolve it (the owning component's content fingerprint covers
-/// the query-string set). LRU, single mutex: the negative path is already
-/// orders of magnitude cheaper than a walk, sharding would be noise.
+/// the query-string set). One LRU shard of the same code as SuggestionCache's,
+/// so eviction and validation behave identically: the negative path is
+/// already orders of magnitude cheaper than a walk, sharding would be noise.
 ///
 /// Counters: `pqsda.cache.negative_hits_total`,
 /// `pqsda.cache.negative_misses_total`,
@@ -215,16 +196,7 @@ class NegativeSuggestionCache {
   void Clear();
 
  private:
-  struct Entry {
-    std::string key;
-    ValidationVector components;
-  };
-
-  mutable std::mutex mu_;
-  size_t capacity_;
-  /// Front = most recently confirmed NotFound.
-  mutable std::list<Entry> lru_;
-  mutable std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  std::unique_ptr<LruShard> shard_;
 };
 
 }  // namespace pqsda

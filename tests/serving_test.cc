@@ -381,6 +381,28 @@ TEST(SuggestionCacheTest, HitResetsReusedStats) {
   EXPECT_EQ(stats.suggestions_returned, second->size());
 }
 
+// A hit ran no expansion, solve or selection, so its rendered stats carry
+// no work lines — in particular no "solve: 0 iterations ... (NOT
+// CONVERGED)" — while the miss that filled the entry renders all three.
+TEST(SuggestionCacheTest, HitRendersNoPipelineWorkLines) {
+  auto engine = BuildServingEngine(/*cache_capacity=*/64);
+  SuggestStats stats;
+
+  ASSERT_TRUE(engine->Suggest(ServingRequest("sun", 1), 5, &stats).ok());
+  const std::string miss = stats.Render();
+  EXPECT_NE(miss.find("compact: "), std::string::npos) << miss;
+  EXPECT_NE(miss.find("solve: "), std::string::npos) << miss;
+  EXPECT_NE(miss.find("selection: "), std::string::npos) << miss;
+
+  ASSERT_TRUE(engine->Suggest(ServingRequest("sun", 1), 5, &stats).ok());
+  const std::string hit = stats.Render();
+  EXPECT_EQ(hit.find("NOT CONVERGED"), std::string::npos) << hit;
+  EXPECT_EQ(hit.find("solve: "), std::string::npos) << hit;
+  EXPECT_EQ(hit.find("compact: "), std::string::npos) << hit;
+  EXPECT_EQ(hit.find("selection: "), std::string::npos) << hit;
+  EXPECT_NE(hit.find("cache"), std::string::npos) << hit;
+}
+
 TEST(SuggestionCacheTest, KeyDistinguishesQueryUserContextAndK) {
   SuggestionRequest base = ServingRequest("sun", 1);
   SuggestionRequest other_user = ServingRequest("sun", 2);
